@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 check failure, 2 invalid input.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
@@ -26,6 +27,7 @@ from .graph import Graph, GraphError, generate, load_edge_list
 from .ssm import find_assm_radius
 
 SEED_ENV = "ISINGDYN_SEED"
+SEED_MAX = (1 << 63) - 1
 
 _GEN_RE = re.compile(r"^(\w+)\(([-\d,\s]*)\)$")
 
@@ -53,26 +55,50 @@ class Settings:
     def __init__(self, config_path, flags: dict):
         cfg = {}
         if config_path:
-            with open(config_path) as fh:
-                cfg = json.load(fh)
+            try:
+                with open(config_path) as fh:
+                    cfg = json.load(fh)
+            except (OSError, ValueError) as exc:
+                _fail_invalid(f"config {config_path}: {exc}")
+            if not isinstance(cfg, dict):
+                _fail_invalid(f"config {config_path}: not a JSON object")
         self.values = dict(cfg)
         for k, v in flags.items():
             if v is not None:
                 self.values[k] = v
 
     def get(self, key, default=None):
-        return self.values.get(key, default)
+        value = self.values.get(key)
+        return default if value is None else value
 
     def require(self, key):
         if key not in self.values or self.values[key] is None:
             _fail_invalid(f"missing required setting {key!r}")
         return self.values[key]
 
+    def count(self, key, default: int, low: int, high: float = math.inf) -> int:
+        """An integer setting in [low, high], `default` when unset; else exit 2."""
+        raw = self.get(key, default)
+        try:
+            value = None if isinstance(raw, float) and not raw.is_integer() else int(raw)
+        except (TypeError, ValueError):
+            value = None
+        if value is None or not low <= value <= high:
+            _fail_invalid(f"{key} must be an integer in [{low}, {high}], got {raw!r}")
+        return value
+
+    def beta(self) -> float:
+        try:
+            beta = float(self.require("beta"))
+        except (TypeError, ValueError):
+            beta = math.nan
+        if not (math.isfinite(beta) and beta >= 0.0):
+            _fail_invalid(f"beta must be a finite number >= 0, got {self.get('beta')!r}")
+        return beta
+
     def seed(self) -> int:
-        if "seed" in self.values and self.values["seed"] is not None:
-            return int(self.values["seed"])
-        env = os.environ.get(SEED_ENV)
-        return int(env) if env else 0
+        """The seed setting, else the environment's ISINGDYN_SEED, else 0."""
+        return self.count("seed", os.environ.get(SEED_ENV) or 0, 0, SEED_MAX)
 
 
 def _common(fn):
@@ -88,8 +114,6 @@ def _common(fn):
     fn = click.option("--seeds", type=int, default=None)(fn)
     fn = click.option("--eps", type=float, default=None)(fn)
     fn = click.option("--out", default=None, help="output path (default stdout)")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                      default=None)(fn)
     fn = click.option("--jobs", type=int, default=None)(fn)
     return fn
 
@@ -105,7 +129,7 @@ def _dynamics_spec(settings) -> DynamicsSpec:
         raw = json.dumps(raw)
     try:
         return DynamicsSpec.from_json(raw)
-    except (ValueError, KeyError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         _fail_invalid(f"bad dynamics spec: {exc}")
 
 
@@ -126,13 +150,13 @@ def sample(config, **flags):
     s = Settings(config, flags)
     try:
         G = parse_graph(s.require("graph"))
-        beta = float(s.require("beta"))
         spec = _dynamics_spec(s)
         spec.validate_for(G)
     except (GraphError, ValueError) as exc:
         _fail_invalid(str(exc))
-    steps = int(s.get("steps", 0) or 0)
-    burnin = int(s.get("burnin", 0) or 0)
+    beta = s.beta()
+    steps = s.count("steps", 0, 0)
+    burnin = s.count("burnin", 0, 0)
     seed = s.seed()
 
     lines = []
@@ -164,17 +188,17 @@ def couple(config, **flags):
     try:
         graph_spec = s.require("graph")
         G = parse_graph(graph_spec)
-        beta = float(s.require("beta"))
         spec = _dynamics_spec(s)
         spec.validate_for(G)
         if not spec.is_monotone():
             raise ValueError("sw dynamics has no monotone grand coupling")
     except (GraphError, ValueError) as exc:
         _fail_invalid(str(exc))
-    n_seeds = int(s.get("seeds", 1) or 1)
+    beta = s.beta()
+    n_seeds = s.count("seeds", 1, 1)
     base_seed = s.seed()
-    t_max = int(s.get("t_max", 10**6) or 10**6)
-    jobs = int(s.get("jobs", 1) or 1)
+    t_max = s.count("t_max", 10**6, 1)
+    jobs = s.count("jobs", 1, 1)
 
     tasks = [(graph_spec, beta, spec.to_json(), base_seed + i, t_max)
              for i in range(n_seeds)]
@@ -262,22 +286,27 @@ def _check_failed(c) -> bool:
 @main.command()
 @_common
 def verify(config, **flags):
-    """Run the exact check battery; nonzero exit iff any check fails."""
+    """Run the exact check battery; exit 1 iff a check fails or none ran."""
     s = Settings(config, flags)
     try:
         G = parse_graph(s.require("graph"))
-        beta = float(s.require("beta"))
         spec = _dynamics_spec(s)
         spec.validate_for(G)
-    except (GraphError, ValueError) as exc:
+        eps = float(s.get("eps", 0.25))
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    except (GraphError, TypeError, ValueError) as exc:
         _fail_invalid(str(exc))
-    eps = float(s.get("eps", 0.25) or 0.25)
+    beta = s.beta()
     checks = _verify_checks(G, beta, spec, eps)
     report = {"graph": s.require("graph"), "checks": checks,
               "failed": sum(_check_failed(c) for c in checks)}
     with _open_out(s) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+    if all("skipped" in c for c in checks):
+        click.echo("error: every check was skipped; nothing was verified", err=True)
+        sys.exit(1)
     sys.exit(1 if report["failed"] else 0)
 
 
@@ -288,20 +317,22 @@ def verify(config, **flags):
 def gap(config, **flags):
     """Spectral gaps of SW and IV across a size sweep, as CSV."""
     s = Settings(config, flags)
+    beta = s.beta()
     try:
-        beta = float(s.require("beta"))
-        family = s.get("family") or "cycle"
-        sizes = [int(x) for x in str(s.require("sizes")).split(",")]
+        family = s.get("family", "cycle")
+        graphs = [generate(family, int(x)) for x in str(s.require("sizes")).split(",")]
+        if any(G.n > exact.N_DIRECT_LIMIT for G in graphs):
+            raise ValueError(f"sizes must be at most {exact.N_DIRECT_LIMIT} "
+                             "for exact kernels")
     except ValueError as exc:
         _fail_invalid(str(exc))
     rows = []
-    for n in sizes:
-        G = generate(family, n)
+    for G in graphs:
         sw = exact.transition_matrix(G, beta, DynamicsSpec("sw"))
         iv = exact.transition_matrix(G, beta, DynamicsSpec("iv"))
         g_sw = exact.spectral_report(sw.P, sw.mu)
         g_iv = exact.spectral_report(iv.P, iv.mu)
-        rows.append((n, g_sw.gap, g_iv.gap,
+        rows.append((G.n, g_sw.gap, g_iv.gap,
                      g_sw.relaxation if g_sw.relaxation_finite else "",
                      g_iv.relaxation if g_iv.relaxation_finite else ""))
     with _open_out(s) as fh:
@@ -318,11 +349,10 @@ def assm(config, **flags):
     s = Settings(config, flags)
     try:
         G = parse_graph(s.require("graph"))
-        beta = float(s.require("beta"))
     except (GraphError, ValueError) as exc:
         _fail_invalid(str(exc))
-    r_max = s.get("r_max")
-    r_max = 6 if r_max is None else int(r_max)
+    beta = s.beta()
+    r_max = s.count("r_max", 6, 0)
     radius, details = find_assm_radius(G, beta, r_max)
     report = {
         "graph": s.require("graph"),

@@ -12,15 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsSpec, Stepper
+from .dynamics import DynamicsSpec, step
 from .graph import Graph
 from .randomness import SharedRandomness, sequential_draws
 
 __all__ = [
-    "grand_step",
-    "grand_step_iv",
-    "grand_step_msw",
-    "grand_step_block",
     "CouplingResult",
     "coupling_time",
     "monotonicity_audit",
@@ -28,25 +24,6 @@ __all__ = [
 ]
 
 DEFAULT_T_MAX = 10**6
-
-
-def grand_step(G: Graph, beta: float, spec: DynamicsSpec, states, draws):
-    """Advance every state by one coupled step of the given dynamics."""
-    stepper = Stepper(G, beta, spec)
-    return [stepper.step(s, draws) for s in states]
-
-
-def grand_step_iv(G, beta, states, draws, A=None):
-    return grand_step(G, beta, DynamicsSpec("iv", censor=A), states, draws)
-
-
-def grand_step_msw(G, beta, states, draws, A=None):
-    return grand_step(G, beta, DynamicsSpec("msw", censor=A), states, draws)
-
-
-def grand_step_block(G, beta, states, draws, blocks, A=None):
-    return grand_step(G, beta, DynamicsSpec("block", blocks=tuple(blocks), censor=A),
-                      states, draws)
 
 
 @dataclass(frozen=True)
@@ -65,14 +42,14 @@ def coupling_time(G: Graph, beta: float, spec: DynamicsSpec, seed: int,
     """
     if not spec.is_monotone():
         raise ValueError(f"{spec.kind} dynamics has no monotone grand coupling")
-    stepper = Stepper(G, beta, spec)
+    spec.validate_for(G)
     shared = SharedRandomness(seed, G.n, G.m)
     upper = np.full(G.n, 1, dtype=np.int8)
     lower = np.full(G.n, -1, dtype=np.int8)
     for t in range(1, t_max + 1):
         draws = shared.at(t)
-        upper = stepper.step(upper, draws)
-        lower = stepper.step(lower, draws)
+        upper = step(G, beta, spec, upper, draws)
+        lower = step(G, beta, spec, lower, draws)
         if np.array_equal(upper, lower):
             return CouplingResult(seed=seed, steps=t, timed_out=False)
     return CouplingResult(seed=seed, steps=t_max, timed_out=True)
@@ -97,7 +74,7 @@ def monotonicity_audit(G: Graph, beta: float, spec: DynamicsSpec, trials: int,
     """
     if not spec.is_monotone():
         raise ValueError(f"{spec.kind} dynamics is not monotone-capable")
-    stepper = Stepper(G, beta, spec)
+    spec.validate_for(G)
     violations = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((0xA0D1, seed, trial)))
@@ -106,8 +83,8 @@ def monotonicity_audit(G: Graph, beta: float, spec: DynamicsSpec, trials: int,
         for _ in range(steps):
             draws = sequential_draws(rng, G.n, G.m)
             draws2 = sequential_draws(rng2, G.n, G.m) if broken else draws
-            upper = stepper.step(upper, draws)
-            lower = stepper.step(lower, draws2)
+            upper = step(G, beta, spec, upper, draws)
+            lower = step(G, beta, spec, lower, draws2)
             if np.any(upper < lower):
                 violations += 1
                 break

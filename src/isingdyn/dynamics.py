@@ -13,7 +13,7 @@ tie r(e) = p is resolved as "keep".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = [
     "msw_step_alt",
     "glauber_step",
     "block_step",
-    "Stepper",
+    "step",
     "run_chain",
 ]
 
@@ -74,9 +74,6 @@ class DynamicsSpec:
         if self.censor is not None and not all(0 <= v < G.n for v in self.censor):
             raise ValueError("censor set out of range")
 
-    def censor_set(self, G: Graph) -> frozenset:
-        return self.censor if self.censor is not None else frozenset(range(G.n))
-
     def is_monotone(self) -> bool:
         return self.kind in ("glauber", "block", "iv", "msw")
 
@@ -91,6 +88,8 @@ class DynamicsSpec:
     @classmethod
     def from_json(cls, text: str) -> "DynamicsSpec":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("a dynamics spec is a JSON object")
         blocks = obj.get("blocks")
         censor = obj.get("censor")
         return cls(
@@ -106,7 +105,6 @@ class ComponentPartition:
 
     comp_id: np.ndarray            # component id per vertex
     members: list[list[int]]       # vertex lists, keyed by id
-    sizes: np.ndarray
 
     @property
     def count(self) -> int:
@@ -159,8 +157,7 @@ def components(G: Graph, F_mask) -> ComponentPartition:
             members.append([])
         comp_id[v] = roots[r]
         members[comp_id[v]].append(v)
-    sizes = np.array([len(ms) for ms in members], dtype=np.int64)
-    return ComponentPartition(comp_id=comp_id, members=members, sizes=sizes)
+    return ComponentPartition(comp_id=comp_id, members=members)
 
 
 def sw_step(G: Graph, beta: float, spins, draws: StepDraws) -> np.ndarray:
@@ -266,39 +263,32 @@ def block_step(G: Graph, beta: float, spins, blocks, draws: StepDraws,
     out = spins.copy()
     if not free:
         return out
-    remaining = set(free)
+    free_set = set(free)
+    # everything outside the free set, then each free vertex once updated
+    boundary = {u: s for u, s in enumerate(out.tolist()) if u not in free_set}
     for v in free:
-        remaining.discard(v)
-        boundary = {u: int(out[u]) for u in range(G.n) if u not in remaining and u != v}
         p_plus = conditional_marginal(G, beta, v, boundary)
-        out[v] = 1 if draws.vertex_uniforms[v] <= p_plus else -1
+        out[v] = boundary[v] = 1 if draws.vertex_uniforms[v] <= p_plus else -1
     return out
 
 
-class Stepper:
-    """Precompiled step function for one (graph, beta, spec) triple."""
+def step(G: Graph, beta: float, spec: DynamicsSpec, spins,
+         draws: StepDraws) -> np.ndarray:
+    """One step of the chain named by spec (validated by the caller).
 
-    def __init__(self, G: Graph, beta: float, spec: DynamicsSpec):
-        spec.validate_for(G)
-        self.G = G
-        self.beta = beta
-        self.spec = spec
-        self.A = spec.censor if spec.censor is not None else None
-
-    def step(self, spins, draws: StepDraws) -> np.ndarray:
-        kind = self.spec.kind
-        if kind == "sw":
-            return sw_step(self.G, self.beta, spins, draws)
-        if kind == "iv":
-            return iv_step(self.G, self.beta, spins, draws, self.A)
-        if kind == "msw":
-            return msw_step_alt(self.G, self.beta, spins, draws, self.A)
-        if kind == "glauber":
-            return glauber_step(self.G, self.beta, spins, draws)
-        if kind == "block":
-            return block_step(self.G, self.beta, spins, self.spec.blocks,
-                              draws, self.A)
-        raise AssertionError(kind)
+    The kernels are looked up as module globals at call time, so a
+    rebinding of a kernel (e.g. an instrumented one) is always used.
+    """
+    kind, A = spec.kind, spec.censor
+    if kind == "sw":
+        return sw_step(G, beta, spins, draws)
+    if kind == "iv":
+        return iv_step(G, beta, spins, draws, A)
+    if kind == "msw":
+        return msw_step_alt(G, beta, spins, draws, A)
+    if kind == "glauber":
+        return glauber_step(G, beta, spins, draws)
+    return block_step(G, beta, spins, spec.blocks, draws, A)
 
 
 def run_chain(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
@@ -309,14 +299,14 @@ def run_chain(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
     state every `collect_every` steps (after the step) once at least
     `collect_after` steps have run, or [] when collect_every is 0.
     """
-    stepper = Stepper(G, beta, spec)
+    spec.validate_for(G)
     rng = np.random.default_rng(np.random.SeedSequence((0xD1CE, seed)))
     spins = (np.full(G.n, 1, dtype=np.int8) if start is None
              else np.asarray(start, dtype=np.int8).copy())
     collected = []
     for t in range(steps):
         draws = sequential_draws(rng, G.n, G.m)
-        spins = stepper.step(spins, draws)
+        spins = step(G, beta, spec, spins, draws)
         if collect_every and t + 1 > collect_after \
                 and (t + 1 - collect_after) % collect_every == 0:
             collected.append(spins.copy())

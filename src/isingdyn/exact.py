@@ -12,7 +12,7 @@ Configurations are the bit-encoded integers of the ising module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -37,14 +37,6 @@ __all__ = [
     "dirichlet_form",
     "JointSpace",
     "MarkedSpace",
-    "es_measure",
-    "build_T",
-    "build_Tstar",
-    "build_Q",
-    "build_S",
-    "build_Sstar",
-    "marked_measure",
-    "build_K",
     "verify_decompositions",
     "check_censoring_order",
     "censored_dominance",
@@ -375,23 +367,6 @@ class JointSpace:
         return Q
 
 
-def es_measure(G: Graph, beta: float) -> JointSpace:
-    """The joint Edwards-Sokal measure, wrapped with its state list."""
-    return JointSpace(G, beta)
-
-
-def build_T(G, beta):
-    return JointSpace(G, beta, limit=M_OPERATOR_LIMIT).build_T()
-
-
-def build_Tstar(G, beta):
-    return JointSpace(G, beta, limit=M_OPERATOR_LIMIT).build_Tstar()
-
-
-def build_Q(G, beta, A=None):
-    return JointSpace(G, beta, limit=M_OPERATOR_LIMIT).build_Q(A)
-
-
 class MarkedSpace:
     """Triples (F, sigma, marked components) over a JointSpace, with S, K_A.
 
@@ -469,23 +444,6 @@ class MarkedSpace:
         return K
 
 
-def marked_measure(G: Graph, beta: float) -> tuple[MarkedSpace, np.ndarray]:
-    ms = MarkedSpace(JointSpace(G, beta, limit=M_OPERATOR_LIMIT))
-    return ms, ms.nu_m()
-
-
-def build_S(G, beta):
-    return MarkedSpace(JointSpace(G, beta, limit=M_OPERATOR_LIMIT)).build_S()
-
-
-def build_Sstar(G, beta):
-    return MarkedSpace(JointSpace(G, beta, limit=M_OPERATOR_LIMIT)).build_Sstar()
-
-
-def build_K(G, beta, A=None):
-    return MarkedSpace(JointSpace(G, beta, limit=M_OPERATOR_LIMIT)).build_K(A)
-
-
 def verify_decompositions(G: Graph, beta: float, A: frozenset | None = None):
     """Entrywise residuals of IV_A = T Q_A T* and MSW_A = T S K_A S* T*."""
     joint = JointSpace(G, beta, limit=M_OPERATOR_LIMIT)
@@ -506,17 +464,6 @@ def verify_decompositions(G: Graph, beta: float, A: frozenset | None = None):
 
 # ---------------------------------------------------------------------------
 # Censoring order and dominance
-
-
-def _kernel_pair(G: Graph, beta: float, family: str, A: frozenset,
-                 blocks=None):
-    if family == "block":
-        base = DynamicsSpec("block", blocks=blocks)
-        cens = DynamicsSpec("block", blocks=blocks, censor=A)
-    else:
-        base = DynamicsSpec(family)
-        cens = DynamicsSpec(family, censor=A)
-    return transition_matrix(G, beta, base), transition_matrix(G, beta, cens)
 
 
 def censoring_order_holds(P: np.ndarray, PA: np.ndarray, mu: np.ndarray,
@@ -550,7 +497,8 @@ def check_censoring_order(G: Graph, beta: float, family: str, A: frozenset,
     """True iff the censored kernel dominates in the bilinear-form order."""
     if G.n > 4:
         raise ValueError("censoring order check limited to n <= 4")
-    base, cens = _kernel_pair(G, beta, family, A, blocks)
+    base = transition_matrix(G, beta, DynamicsSpec(family, blocks=blocks))
+    cens = transition_matrix(G, beta, DynamicsSpec(family, blocks=blocks, censor=A))
     return censoring_order_holds(base.P, cens.P, base.mu, G.n, tol)
 
 
@@ -578,7 +526,7 @@ def censored_dominance(G: Graph, beta: float, spec: DynamicsSpec,
     if G.n > 4:
         raise ValueError("dominance check limited to n <= 4")
     nu0 = np.asarray(nu0, dtype=np.float64)
-    base = transition_matrix(G, beta, spec_uncensored(spec))
+    base = transition_matrix(G, beta, replace(spec, censor=None))
     if not _ratio_increasing(nu0, base.mu, G.n):
         raise ValueError("nu0/mu must be increasing for the dominance theorem")
     if schedule is None:
@@ -588,7 +536,7 @@ def censored_dominance(G: Graph, beta: float, spec: DynamicsSpec,
     dist_unc = nu0.copy()
     dist_cen = nu0.copy()
     for Ai in schedule:
-        cens = transition_matrix(G, beta, spec_with_censor(spec, Ai))
+        cens = transition_matrix(G, beta, replace(spec, censor=Ai))
         dist_unc = dist_unc @ base.P
         dist_cen = dist_cen @ cens.P
     dominates = stochastically_dominates(dist_cen, dist_unc, G.n, tol=max(tol, 1e-12))
@@ -596,10 +544,3 @@ def censored_dominance(G: Graph, beta: float, spec: DynamicsSpec,
     tv_cen = 0.5 * np.abs(dist_cen - base.mu).sum()
     return dominates, tv_unc <= tv_cen + tol
 
-
-def spec_uncensored(spec: DynamicsSpec) -> DynamicsSpec:
-    return DynamicsSpec(spec.kind, blocks=spec.blocks)
-
-
-def spec_with_censor(spec: DynamicsSpec, A: frozenset) -> DynamicsSpec:
-    return DynamicsSpec(spec.kind, blocks=spec.blocks, censor=A)

@@ -66,13 +66,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_index(self, u: int, v: int) -> int:
-        key = (min(u, v), max(u, v))
-        for i, (a, b) in enumerate(self.edges):
-            if (min(a, b), max(a, b)) == key:
-                return i
-        raise KeyError(f"no edge {key}")
-
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge endpoints as two int arrays (for vectorized percolation)."""
         if self.m == 0:
@@ -101,11 +94,6 @@ def load_edge_list(path) -> Graph:
                 ) from None
             if u < 0 or v < 0:
                 raise GraphError(f"{path}:{lineno}: negative vertex index")
-            if u == v:
-                raise GraphError(f"{path}:{lineno}: self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if any((min(a, b), max(a, b)) == key for a, b in edges):
-                raise GraphError(f"{path}:{lineno}: duplicate edge {key}")
             edges.append((u, v))
             max_v = max(max_v, u, v)
     return Graph(n=max_v + 1, edges=tuple(edges))

@@ -20,10 +20,11 @@ from .graph import Graph
 __all__ = [
     "beta_c",
     "weight",
-    "log_weight",
     "GibbsTable",
     "gibbs_exact",
     "conditional_marginal",
+    "clamped_marginals",
+    "FeasibilityError",
     "leq",
     "encode_spins",
     "decode_spins",
@@ -66,14 +67,10 @@ def _agreement_sum(G: Graph, codes: np.ndarray) -> np.ndarray:
     return total
 
 
-def log_weight(G: Graph, beta: float, spins) -> float:
-    code = np.array([encode_spins(spins)], dtype=np.int64)
-    return float(beta * _agreement_sum(G, code)[0])
-
-
 def weight(G: Graph, beta: float, spins) -> float:
     """Unnormalized Gibbs weight exp(beta * sum_edges sigma(u) sigma(w))."""
-    return float(np.exp(log_weight(G, beta, spins)))
+    code = np.array([encode_spins(spins)], dtype=np.int64)
+    return float(np.exp(beta * _agreement_sum(G, code)[0]))
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,11 @@ def gibbs_exact(G: Graph, beta: float, limit: int = ENUM_LIMIT) -> GibbsTable:
     return GibbsTable(probs=np.exp(logw - logZ), logZ=logZ)
 
 
-def _component_of(G: Graph, v: int, blocked: frozenset) -> list[int]:
+class FeasibilityError(ValueError):
+    """Sphere or free region too large for exact computation."""
+
+
+def _component_of(G: Graph, v: int, blocked) -> list[int]:
     """Connected component of v in G with `blocked` vertices removed."""
     seen = {v}
     stack = [v]
@@ -112,19 +113,33 @@ def _component_of(G: Graph, v: int, blocked: frozenset) -> list[int]:
     return sorted(seen)
 
 
-def _tree_marginal(G: Graph, beta: float, v: int, comp: list[int],
-                   boundary: dict) -> float:
-    """Exact root marginal on a tree component via bottom-up message passing.
+def clamped_marginals(G: Graph, beta: float, v: int, clamp: dict):
+    """P(sigma(v)=+) under mu with the vertices of `clamp` fixed.
 
-    Clamped neighbors outside the component act as local fields. Messages
-    are normalized at every step to avoid under/overflow on deep trees.
+    `clamp` maps each fixed vertex to its spin: either a +/-1 number (one
+    clamping; a float is returned) or an array of +/-1 values, all of one
+    length, one entry per clamping (an array of marginals is returned).
+    Only the component of v in G minus the clamped set matters: the rest
+    factors out of the conditional. Tree components use exact message
+    passing, whose arithmetic never mutates its operands, so one clamping
+    runs on plain floats; other components are enumerated (at most
+    2^ENUM_LIMIT states).
     """
+    comp = _component_of(G, v, clamp)
     comp_set = set(comp)
-    field = {}
-    for u in comp:
-        field[u] = beta * sum(boundary[w] for w in G.adjacency[u] if w in boundary)
+    zero = 0 * next(iter(clamp.values()), 0)  # a zero of the clamping shape
 
-    # iterative post-order rooted at v
+    def field(u):
+        return beta * sum((clamp[w] for w in G.adjacency[u] if w in clamp), zero)
+
+    twice_edges = sum(w in comp_set for u in comp for w in G.adjacency[u])
+    if twice_edges == 2 * (len(comp) - 1):
+        return _tree_marginals(G, beta, v, comp_set, field)
+    return _enum_marginals(G, beta, v, comp, field, np.shape(zero))
+
+
+def _tree_marginals(G, beta, v, comp_set, field):
+    """Bottom-up message passing rooted at v, in log space."""
     parent = {v: None}
     order = [v]
     stack = [v]
@@ -135,69 +150,65 @@ def _tree_marginal(G: Graph, beta: float, v: int, comp: list[int],
                 parent[w] = u
                 order.append(w)
                 stack.append(w)
-    # message[u] = (m(parent=+), m(parent=-)) from subtree at u
-    msg = {}
+    children: dict[int, list[int]] = {u: [] for u in order}
+    for w in order[1:]:
+        children[parent[w]].append(w)
+
+    logm = {}  # u -> normalized (log m(+), log m(-)) toward the parent
     for u in reversed(order):
-        children = [w for w in order if parent.get(w) == u]
-        logm_child_plus = sum(np.log(msg[w][0]) for w in children)
-        logm_child_minus = sum(np.log(msg[w][1]) for w in children)
+        h = field(u)
+        lp = h + sum(logm[w][0] for w in children[u])
+        lm = -h + sum(logm[w][1] for w in children[u])
         if u == v:
-            lp = field[u] + logm_child_plus
-            lm = -field[u] + logm_child_minus
-            return float(1.0 / (1.0 + np.exp(lm - lp)))
-        # sum over u's spin for each parent spin
-        to_plus = (np.exp(beta + field[u] + logm_child_plus)
-                   + np.exp(-beta - field[u] + logm_child_minus))
-        to_minus = (np.exp(-beta + field[u] + logm_child_plus)
-                    + np.exp(beta - field[u] + logm_child_minus))
-        z = to_plus + to_minus
-        msg[u] = (to_plus / z, to_minus / z)
+            return 1.0 / (1.0 + np.exp(lm - lp))
+        # marginalize u's spin for each parent spin
+        to_plus = np.logaddexp(beta + lp, -beta + lm)
+        to_minus = np.logaddexp(-beta + lp, beta + lm)
+        z = np.logaddexp(to_plus, to_minus)
+        logm[u] = (to_plus - z, to_minus - z)
     raise AssertionError("unreachable")
 
 
-def _enum_marginal(G: Graph, beta: float, v: int, comp: list[int],
-                   boundary: dict) -> float:
-    """Exact marginal by vectorized enumeration of the free component."""
+def _enum_marginals(G, beta, v, comp, field, shape):
+    """Enumeration over the free component, chunked over clampings."""
     k = len(comp)
     if k > ENUM_LIMIT:
-        raise ValueError(f"free region of size {k} exceeds limit {ENUM_LIMIT}")
+        raise FeasibilityError(f"free region of size {k} exceeds limit {ENUM_LIMIT}")
     pos = {u: i for i, u in enumerate(comp)}
-    codes = np.arange(1 << k, dtype=np.int64)
-    logw = np.zeros(1 << k, dtype=np.float64)
-    comp_set = set(comp)
+    inner = np.arange(1 << k, dtype=np.int64)
+    spins = np.empty((k, 1 << k), dtype=np.int8)  # row i: spin of comp[i]
+    for i in range(k):
+        spins[i] = 2 * ((inner >> i) & 1) - 1
+    e_int = np.zeros(1 << k)
     for u in comp:
-        su = 2 * ((codes >> pos[u]) & 1) - 1
-        # clamped field from boundary neighbors
-        h = sum(boundary[w] for w in G.adjacency[u] if w in boundary)
-        if h:
-            logw += beta * h * su
         for w in G.adjacency[u]:
-            if w in comp_set and w > u:
-                sw = 2 * ((codes >> pos[w]) & 1) - 1
-                logw += beta * su * sw
-    logw -= logw.max()
-    wts = np.exp(logw)
-    plus = (codes >> pos[v]) & 1 == 1
-    return float(wts[plus].sum() / wts.sum())
+            if w in pos and w > u:
+                e_int += beta * (spins[pos[u]] * spins[pos[w]])
+    H = np.array([field(u) for u in comp], dtype=np.float64).reshape(k, -1)
+    n_tau = H.shape[1]
+    out = np.empty(n_tau)
+    plus = spins[pos[v]] > 0
+    chunk = max(1, (1 << 22) // (1 << k))
+    for start in range(0, n_tau, chunk):
+        sl = slice(start, min(start + chunk, n_tau))
+        loge = np.repeat(e_int[:, None], sl.stop - start, axis=1)
+        for i in range(k):
+            loge += spins[i][:, None] * H[i, sl]
+        loge -= loge.max(axis=0, keepdims=True)
+        w = np.exp(loge)
+        out[sl] = w[plus].sum(axis=0) / w.sum(axis=0)
+    return out.reshape(shape)
 
 
 def conditional_marginal(G: Graph, beta: float, v: int, boundary: dict) -> float:
     """Probability that sigma(v) = + under mu conditioned on the boundary.
 
     `boundary` maps vertices to +/-1 spins; v must not be in it. Every
-    unfixed vertex is marginalized exactly. Only the connected component of
-    v in the graph minus the boundary matters: the rest factors out of the
-    conditional. Tree components use exact message passing; general
-    components fall back to enumeration (free region at most 2^20 states).
+    unfixed vertex is marginalized exactly (see clamped_marginals).
     """
     if v in boundary:
         raise ValueError(f"vertex {v} is fixed by the boundary")
-    blocked = frozenset(boundary)
-    comp = _component_of(G, v, blocked)
-    n_edges = sum(1 for u, w in G.edges if u in comp and w in comp)
-    if n_edges == len(comp) - 1:
-        return _tree_marginal(G, beta, v, comp, boundary)
-    return _enum_marginal(G, beta, v, comp, boundary)
+    return float(clamped_marginals(G, beta, v, boundary))
 
 
 def leq(sigma, tau) -> bool:

@@ -7,10 +7,8 @@ when only u's spin flips. The supremum is an exhaustive maximum over all
 2^(|S|-1) off-u configurations, never sampled.
 
 Conditioning clamps the sphere S(v,R) and marginalizes everything else;
-only the component of v inside the sphere matters (the far side factors
-out of the conditional). Marginals for all sphere configurations are
-computed in one vectorized pass: exact message passing when the component
-is a tree, enumeration otherwise.
+the marginals for all sphere configurations come from one vectorized pass
+of ising.clamped_marginals.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, sphere
-from .ising import _component_of
+from .ising import FeasibilityError, clamped_marginals
 
 __all__ = [
     "InfluenceTable",
@@ -33,11 +31,6 @@ __all__ = [
 
 ASSM_BOUND = 0.25
 SPHERE_LIMIT = 16
-ENUM_LIMIT = 20
-
-
-class FeasibilityError(ValueError):
-    """Sphere or free region too large for exact computation."""
 
 
 @dataclass(frozen=True)
@@ -69,89 +62,9 @@ def _sphere_marginals(G: Graph, beta: float, v: int, S: list[int]) -> np.ndarray
     tau is bit-encoded over S in list order; returns an array of length
     2^|S|.
     """
-    k = len(S)
-    codes = np.arange(1 << k, dtype=np.int64)
-    pos = {u: j for j, u in enumerate(S)}
-    comp = _component_of(G, v, frozenset(S))
-    comp_set = set(comp)
-
-    def field(u):
-        h = np.zeros(1 << k)
-        for w in G.adjacency[u]:
-            if w in pos:
-                h += beta * (2 * ((codes >> pos[w]) & 1) - 1)
-        return h
-
-    n_edges = sum(1 for a, b in G.edges if a in comp_set and b in comp_set)
-    if n_edges == len(comp) - 1:
-        return _tree_marginals(G, beta, v, comp, field)
-    return _enum_marginals(G, beta, v, comp, field)
-
-
-def _tree_marginals(G, beta, v, comp, field):
-    """Vectorized bottom-up message passing over all sphere configurations."""
-    comp_set = set(comp)
-    parent = {v: None}
-    order = [v]
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in G.adjacency[u]:
-            if w in comp_set and w not in parent:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    children: dict[int, list[int]] = {u: [] for u in order}
-    for w in order[1:]:
-        children[parent[w]].append(w)
-
-    logm = {}  # u -> (log m(+), log m(-)) arrays toward the parent
-    for u in reversed(order):
-        h = field(u)
-        lp = h.copy()
-        lm = -h
-        for w in children[u]:
-            a, b = logm[w]
-            lp += a
-            lm += b
-        if u == v:
-            return 1.0 / (1.0 + np.exp(lm - lp))
-        # marginalize u's spin for each parent spin
-        to_plus = np.logaddexp(beta + lp, -beta + lm)
-        to_minus = np.logaddexp(-beta + lp, beta + lm)
-        z = np.logaddexp(to_plus, to_minus)
-        logm[u] = (to_plus - z, to_minus - z)
-    raise AssertionError("unreachable")
-
-
-def _enum_marginals(G, beta, v, comp, field):
-    """Enumeration fallback for non-tree components, chunked over tau."""
-    k = len(comp)
-    if k > ENUM_LIMIT:
-        raise FeasibilityError(f"free region of size {k} exceeds limit {ENUM_LIMIT}")
-    pos = {u: i for i, u in enumerate(comp)}
-    inner = np.arange(1 << k, dtype=np.int64)
-    spins = {u: (2 * ((inner >> pos[u]) & 1) - 1).astype(np.float64) for u in comp}
-    comp_set = set(comp)
-    e_int = np.zeros(1 << k)
-    for a, b in G.edges:
-        if a in comp_set and b in comp_set:
-            e_int += beta * spins[a] * spins[b]
-    # boundary coupling: field(u) is an array over tau codes
-    fields = {u: field(u) for u in comp}
-    n_tau = len(next(iter(fields.values())))
-    out = np.empty(n_tau)
-    plus = spins[v] > 0
-    chunk = max(1, (1 << 22) // (1 << k))
-    for start in range(0, n_tau, chunk):
-        sl = slice(start, min(start + chunk, n_tau))
-        loge = e_int[:, None] + sum(
-            spins[u][:, None] * fields[u][None, sl] for u in comp
-        )
-        loge -= loge.max(axis=0, keepdims=True)
-        w = np.exp(loge)
-        out[sl] = w[plus].sum(axis=0) / w.sum(axis=0)
-    return out
+    codes = np.arange(1 << len(S), dtype=np.int64)
+    clamp = {u: 2 * ((codes >> j) & 1) - 1 for j, u in enumerate(S)}
+    return clamped_marginals(G, beta, v, clamp)
 
 
 def _influences(G: Graph, beta: float, v: int, R: int) -> dict:

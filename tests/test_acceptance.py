@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from isingdyn.coupling import coupling_time, monotonicity_audit
-from isingdyn.dynamics import DynamicsSpec, Stepper
+from isingdyn.dynamics import DynamicsSpec, step
 from isingdyn.exact import (
     JointSpace,
     MarkedSpace,
@@ -249,12 +249,12 @@ def test_criterion_11_sampling_tv():
     mu = gibbs_exact(EDGE, beta).probs
     worst = 0.0
     for i, kind in enumerate(("sw", "msw", "iv")):
-        stepper = Stepper(EDGE, beta, DynamicsSpec(kind))
+        spec = DynamicsSpec(kind)
         rng = np.random.default_rng(np.random.SeedSequence((0xACC, 11, i)))
         spins = np.ones(2, dtype=np.int8)
         counts = np.zeros(4)
         for t in range(burnin + n_samples):
-            spins = stepper.step(spins, sequential_draws(rng, 2, 1))
+            spins = step(EDGE, beta, spec, spins, sequential_draws(rng, 2, 1))
             if t >= burnin:
                 counts[encode_spins(spins)] += 1
         tv = 0.5 * np.abs(counts / n_samples - mu).sum()

@@ -84,6 +84,62 @@ class TestSample:
         assert res.exit_code == 2
 
 
+IV = ["--dynamics", '{"kind": "iv"}']
+
+
+class TestInvalidInput:
+    """Bad input exits 2 with one "error:" line and no traceback."""
+
+    @pytest.mark.parametrize("argv,env", [
+        (["sample", "--graph", "cycle(4)", "--beta", "0.5", "--seed", "-1"] + IV, {}),
+        (["couple", "--graph", "cycle(4)", "--beta", "0.5", "--seed", "-1"] + IV, {}),
+        (["sample", "--graph", "cycle(4)", "--beta", "0.5"] + IV, {"ISINGDYN_SEED": "abc"}),
+        (["gap", "--beta", "0.3", "--sizes", "11"], {}),
+        (["sample", "--graph", "cycle(4)", "--beta", "nan"] + IV, {}),
+        (["sample", "--graph", "cycle(4)", "--beta", "-1"] + IV, {}),
+        (["couple", "--graph", "cycle(4)", "--beta", "0.5", "--t-max", "0"] + IV, {}),
+        (["couple", "--graph", "cycle(4)", "--beta", "0.5", "--seeds", "0"] + IV, {}),
+        (["verify", "--graph", "path(2)", "--beta", "0.5", "--eps", "0"] + IV, {}),
+        (["sample", "--graph", "cycle(4)", "--beta", "0.5", "--dynamics", "[1]"], {}),
+    ], ids=["negative-seed", "negative-seed-couple", "env-seed-abc", "gap-size-11",
+            "beta-nan", "beta-negative", "t-max-0", "seeds-0", "eps-0",
+            "dynamics-not-object"])
+    def test_exit2_one_line(self, argv, env):
+        res = runner.invoke(main, argv, env=env)
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_config_not_an_object(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        res = runner.invoke(main, ["sample", "--config", str(cfg)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+
+    def test_fractional_count_in_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph": "cycle(4)", "beta": 0.5,
+                                   "dynamics": {"kind": "iv"}, "t_max": 2.5}))
+        res = runner.invoke(main, ["couple", "--config", str(cfg)])
+        assert res.exit_code == 2 and "t_max" in res.stderr
+
+    def test_format_option_removed(self):
+        res = runner.invoke(main, ["sample", "--graph", "cycle(4)", "--beta", "0.5",
+                                   "--format", "csv"] + IV)
+        assert res.exit_code == 2 and "No such option" in res.output
+
+
+class TestExplicitValues:
+    def test_t_max_is_taken(self):
+        # one step cannot coalesce the extremes on cycle(8) at beta 0.5 for
+        # seed 0; the explicit cap is honoured and reported as a timeout
+        res = runner.invoke(main, ["couple", "--graph", "cycle(8)", "--beta", "0.5",
+                                   "--seed", "0", "--t-max", "1"] + IV)
+        assert res.exit_code == 0
+        assert res.output.strip().splitlines()[1].endswith(",1,1")
+
+
 class TestConfig:
     def test_config_file_supplies_settings(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -162,6 +218,14 @@ class TestVerify:
         report = json.loads(res.output)
         skipped = [c for c in report["checks"] if "skipped" in c]
         assert any(c["check"] == "censoring_order" for c in skipped)
+
+    def test_nothing_verified_exits_1(self):
+        res = runner.invoke(main, ["verify", "--graph", "cycle(11)",
+                                   "--beta", "0.3"] + IV)
+        assert res.exit_code == 1
+        report = json.loads(res.stdout)
+        assert report["failed"] == 0
+        assert all("skipped" in c for c in report["checks"])
 
     def test_check_failed_logic(self):
         assert _check_failed({"check": "x", "residual": 1e-3, "tolerance": 1e-10})

@@ -5,13 +5,10 @@ import pytest
 
 from isingdyn.coupling import (
     coupling_time,
-    grand_step_block,
-    grand_step_iv,
-    grand_step_msw,
     monotonicity_audit,
     random_comparable_pair,
 )
-from isingdyn.dynamics import DynamicsSpec, Stepper
+from isingdyn.dynamics import DynamicsSpec, block_step, iv_step, msw_step_alt, step
 from isingdyn.exact import transition_matrix
 from isingdyn.graph import Graph, cycle, path
 from isingdyn.ising import encode_spins, leq
@@ -26,14 +23,15 @@ class TestGrandSteps:
         sr = SharedRandomness(1, G.n, G.m)
         states = [np.ones(6, dtype=np.int8), np.ones(6, dtype=np.int8)]
         for t in range(1, 20):
-            states = grand_step_iv(G, 0.4, states, sr.at(t))
+            d = sr.at(t)
+            states = [iv_step(G, 0.4, s, d) for s in states]
             assert np.array_equal(states[0], states[1])
 
     def test_iv_censor_empty_frozen(self):
         G = cycle(4)
         sr = SharedRandomness(2, G.n, G.m)
         start = np.array([1, -1, 1, -1], dtype=np.int8)
-        (out,) = grand_step_iv(G, 0.4, [start], sr.at(1), A=frozenset())
+        out = iv_step(G, 0.4, start, sr.at(1), A=frozenset())
         assert np.array_equal(out, start)
 
     def test_msw_beta0_coalesces_in_one_step(self):
@@ -41,7 +39,8 @@ class TestGrandSteps:
         sr = SharedRandomness(3, G.n, G.m)
         states = [np.full(5, 1, dtype=np.int8), np.full(5, -1, dtype=np.int8),
                   np.array([1, -1, 1, -1, 1], dtype=np.int8)]
-        out = grand_step_msw(G, 0.0, states, sr.at(1))
+        d = sr.at(1)
+        out = [msw_step_alt(G, 0.0, s, d) for s in states]
         assert np.array_equal(out[0], out[1])
         assert np.array_equal(out[1], out[2])
 
@@ -52,7 +51,7 @@ class TestGrandSteps:
         d = StepDraws(np.zeros(G.m), np.ones(G.n, dtype=np.int8),
                       np.zeros(G.n), 0.0)
         states = [np.full(3, -1, dtype=np.int8), np.full(3, 1, dtype=np.int8)]
-        out = grand_step_block(G, 0.5, states, d, [frozenset({0, 1, 2})])
+        out = [block_step(G, 0.5, s, [frozenset({0, 1, 2})], d) for s in states]
         assert np.array_equal(out[0], np.ones(3))
         assert np.array_equal(out[1], np.ones(3))
 
@@ -94,7 +93,6 @@ class TestSandwich:
     def test_arbitrary_start_between_extremes(self):
         G = cycle(8)
         spec = DynamicsSpec("iv")
-        stepper = Stepper(G, 0.4, spec)
         rng = np.random.default_rng(5)
         for seed in range(20):
             sr = SharedRandomness(seed, G.n, G.m)
@@ -103,23 +101,22 @@ class TestSandwich:
             mid = (2 * rng.integers(0, 2, 8) - 1).astype(np.int8)
             for t in range(1, 30):
                 d = sr.at(t)
-                upper = stepper.step(upper, d)
-                lower = stepper.step(lower, d)
-                mid = stepper.step(mid, d)
+                upper = step(G, 0.4, spec, upper, d)
+                lower = step(G, 0.4, spec, lower, d)
+                mid = step(G, 0.4, spec, mid, d)
                 assert leq(lower, mid) and leq(mid, upper)
 
     def test_coalescence_absorbing(self):
         G = cycle(8)
         spec = DynamicsSpec("iv")
         res = coupling_time(G, 0.3, spec, seed=3, t_max=10**4)
-        stepper = Stepper(G, 0.3, spec)
         sr = SharedRandomness(3, G.n, G.m)
         upper = np.full(8, 1, dtype=np.int8)
         lower = np.full(8, -1, dtype=np.int8)
         for t in range(1, res.steps + 20):
             d = sr.at(t)
-            upper = stepper.step(upper, d)
-            lower = stepper.step(lower, d)
+            upper = step(G, 0.3, spec, upper, d)
+            lower = step(G, 0.3, spec, lower, d)
             if t >= res.steps:
                 assert np.array_equal(upper, lower)
 
@@ -161,7 +158,6 @@ class TestFaithfulness:
         beta = 0.5
         spec = DynamicsSpec("iv")
         P = transition_matrix(G, beta, spec).P
-        stepper = Stepper(G, beta, spec)
         x0 = np.array([1, 1, -1], dtype=np.int8)
         y0 = np.array([1, -1, -1], dtype=np.int8)
         counts_x = np.zeros(8)
@@ -170,7 +166,7 @@ class TestFaithfulness:
         sr = SharedRandomness(7, G.n, G.m)
         for t in range(1, n_trials + 1):
             d = sr.at(t)
-            counts_x[encode_spins(stepper.step(x0, d))] += 1
-            counts_y[encode_spins(stepper.step(y0, d))] += 1
+            counts_x[encode_spins(step(G, beta, spec, x0, d))] += 1
+            counts_y[encode_spins(step(G, beta, spec, y0, d))] += 1
         assert 0.5 * np.abs(counts_x / n_trials - P[encode_spins(x0)]).sum() <= 0.02
         assert 0.5 * np.abs(counts_y / n_trials - P[encode_spins(y0)]).sum() <= 0.02

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from isingdyn.graph import Graph, cycle, path
+from isingdyn.graph import Graph, complete_tree, cycle, grid, path, sphere
 from isingdyn.ising import (
+    FeasibilityError,
     beta_c,
+    clamped_marginals,
     code_leq,
     conditional_marginal,
     decode_spins,
@@ -142,6 +144,24 @@ class TestConditionalMarginal:
                     lo = conditional_marginal(G, beta, 0, {1: bits_lo[0], 3: bits_lo[1]})
                     hi = conditional_marginal(G, beta, 0, {1: bits_hi[0], 3: bits_hi[1]})
                     assert lo <= hi + 1e-10
+
+    @pytest.mark.parametrize("G,v,R", [(complete_tree(3, 3), 1, 1),  # tree
+                                       (grid(4, 4), 0, 2)],  # has a 4-cycle
+                             ids=["tree", "enumeration"])
+    def test_many_clampings_match_one_at_a_time(self, G, v, R):
+        S = sorted(sphere(G, v, R))
+        codes = np.arange(1 << len(S))
+        spins = {u: 2 * ((codes >> j) & 1) - 1 for j, u in enumerate(S)}
+        batched = clamped_marginals(G, 0.6, v, spins)
+        assert batched.shape == codes.shape
+        for c in codes:
+            one = conditional_marginal(G, 0.6, v, {u: int(s[c]) for u, s in spins.items()})
+            assert batched[c] == pytest.approx(one, abs=1e-12)
+
+    def test_free_region_limit(self):
+        # a 25-vertex grid component is not a tree and exceeds 2^20 states
+        with pytest.raises(FeasibilityError, match="exceeds limit"):
+            conditional_marginal(grid(5, 5), 0.3, 0, {})
 
 
 class TestPartialOrder:
