@@ -6,6 +6,14 @@ capped: n <= 10 vertices for direct kernels, |E| <= 14 for the cluster
 kernels (which sum over edge subsets), and |E| <= 6 for materialized
 operator matrices on the joint spaces.
 
+The SW, IV and MSW kernels come from the Edwards-Sokal joint measure:
+P(sigma, sigma xor D) = sum_F A(sigma,F) G(F,D), where the percolation
+matrix A(sigma,F) = p^|F| q^(|E(sigma)|-|F|) 1[F in E(sigma)] is shared and
+the recolouring matrix G differs per kind (SW: 2^-c(F) 1[F in E(D)]; IV:
+2^-|I| 1[D in I] over the isolated vertices I of (V,F) in A; MSW: flip each
+component of (V,F) inside A with probability 2^-|C|). They never go
+through T/Q/S/K, so verify_decompositions compares two constructions.
+
 Configurations are the bit-encoded integers of the ising module.
 """
 
@@ -21,9 +29,9 @@ from .dynamics import DynamicsSpec, components
 from .graph import Graph
 from .ising import (
     code_leq,
-    enumerate_up_sets,
     gibbs_exact,
     stochastically_dominates,
+    _up_set_indicators,
 )
 
 __all__ = [
@@ -46,6 +54,7 @@ N_DIRECT_LIMIT = 10
 M_CLUSTER_LIMIT = 14
 M_OPERATOR_LIMIT = 6
 REV_TOL = 1e-9
+F_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -89,65 +98,65 @@ def _vertex_mask(A: frozenset | None, n: int) -> int:
 
 
 def _cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
-    """Exact SW / IV / MSW kernel by summation over F subset of E(sigma)."""
+    """Exact SW / IV / MSW kernel by the Edwards-Sokal factorisation.
+
+    P(sigma, sigma xor D) = sum_F A(sigma,F) G(F,D) over edge subsets F and
+    flip sets D (vertex bitmasks), where A(sigma,F) = p^|F| q^(|E(sigma)|-|F|)
+    if F lies in E(sigma), else 0. E(D) reads D as a configuration, so "F in
+    E(D)" says that D is a union of clusters of F (c(F) clusters in all):
+
+    - sw:  G = 2^-c(F) 1[F in E(D)];
+    - iv:  G = 2^-|I| 1[D in I], I the isolated vertices of (V,F) lying in A;
+    - msw: G = 1[F in E(D), D in L] times, over the components C of (V,F)
+      inside A (their union is L), 2^-|C| if C is in D, else 1 - 2^-|C|.
+
+    Each G(F,.) is 1[F in E(D)] times a product over vertices v of f0(F,v)
+    or f1(F,v), as v is outside or inside D (the factor of a component sits
+    on its lowest vertex), so its row is a Kronecker product. R = A G is
+    summed over chunks of F_CHUNK edge subsets, and P(x,y) = R(x, x xor y).
+    """
     if G.m > M_CLUSTER_LIMIT or G.n > N_DIRECT_LIMIT:
         raise ValueError(f"graph too large for exact {kind} kernel")
-    size = 1 << G.n
     p = 1.0 - math.exp(-2.0 * beta)
     q = 1.0 - p
     emasks = _edge_masks(G)
     comps = _subgraph_components(G)
     amask = _vertex_mask(A, G.n)
-    P = np.zeros((size, size))
-    for x in range(size):
-        em = int(emasks[x])
-        ne = bin(em).count("1")
-        # enumerate F over submasks of E(sigma), including empty
-        F = em
-        while True:
-            nf = bin(F).count("1")
-            wF = (p ** nf) * (q ** (ne - nf)) if p > 0 else (1.0 if nf == 0 else 0.0)
-            if wF > 0.0:
-                cms = comps[F]
-                if kind == "sw":
-                    c = len(cms)
-                    base = wF * 2.0 ** (-c)
-                    for assign in range(1 << c):
-                        tau = 0
-                        for j in range(c):
-                            if (assign >> j) & 1:
-                                tau |= cms[j]
-                        P[x, tau] += base
-                elif kind == "iv":
-                    iso = [cm for cm in cms if bin(cm).count("1") == 1
-                           and cm & amask]
-                    k = len(iso)
-                    base = wF * 2.0 ** (-k)
-                    fixed = x & ~sum(iso) if iso else x
-                    for assign in range(1 << k):
-                        tau = fixed
-                        for j in range(k):
-                            if (assign >> j) & 1:
-                                tau |= iso[j]
-                        P[x, tau] += base
-                else:  # msw: flip a contained component with prob 2^-(|C|-1)/2
-                    elig = [cm for cm in cms if (cm & ~amask) == 0]
-                    flip_p = [0.5 * 2.0 ** (1 - bin(cm).count("1")) for cm in elig]
-                    k = len(elig)
-                    for assign in range(1 << k):
-                        pr = wF
-                        tau = x
-                        for j in range(k):
-                            if (assign >> j) & 1:
-                                pr *= flip_p[j]
-                                tau ^= elig[j]
-                            else:
-                                pr *= 1.0 - flip_p[j]
-                        P[x, tau] += pr
-            if F == 0:
-                break
-            F = (F - 1) & em
-    return P
+    # cm[F, v]: vertex bitmask of the component of v in (V, F)
+    flat = np.array([c for cms in comps for c in cms], dtype=np.int64)
+    owner = np.repeat(np.arange(len(comps)), [len(cms) for cms in comps])
+    bit = 1 << np.arange(G.n, dtype=np.int64)
+    cm = np.zeros((len(comps), G.n), dtype=np.int64)
+    for v in range(G.n):
+        hit = (flat & bit[v]) != 0
+        cm[owner[hit], v] = flat[hit]
+    leader = (cm & (bit - 1)) == 0
+    inside = (cm & ~amask) == 0
+    if kind == "sw":
+        f0 = f1 = np.where(leader, 0.5, 1.0)
+    elif kind == "iv":
+        iso = (cm == bit) & inside
+        f0, f1 = np.where(iso, 0.5, 1.0), np.where(iso, 0.5, 0.0)
+    else:
+        flip = 0.5 ** np.bitwise_count(cm)
+        f0 = np.where(leader & inside, 1.0 - flip, 1.0)
+        f1 = np.where(inside, np.where(leader, flip, 1.0), 0.0)
+    k = np.arange(G.m + 1)
+    w = p ** k[None, :] * q ** np.abs(k[:, None] - k[None, :])  # w[|E(x)|, |F|]
+    Fs = np.arange(len(comps))
+    ne, nf = np.bitwise_count(emasks), np.bitwise_count(Fs)
+    R = np.zeros((1 << G.n, 1 << G.n))
+    for lo in range(0, len(comps), F_CHUNK):
+        blk = slice(lo, lo + F_CHUNK)
+        sub = (Fs[blk] & ~emasks[:, None]) == 0  # sub[x, F] = 1[F in E(x)]
+        Ablk = np.where(sub, w[ne[:, None], nf[blk]], 0.0)
+        Gblk = np.ones((sub.shape[1], 1))
+        for v in range(G.n):
+            Gblk = np.concatenate([Gblk * f0[blk, v, None], Gblk * f1[blk, v, None]],
+                                  axis=1)
+        R += Ablk @ (Gblk * sub.T)  # x and D range over the same codes
+    codes = np.arange(1 << G.n)
+    return np.take_along_axis(R, codes[:, None] ^ codes, axis=1)
 
 
 def _glauber_kernel(G: Graph, beta: float):
@@ -472,24 +481,12 @@ def censoring_order_holds(P: np.ndarray, PA: np.ndarray, mu: np.ndarray,
 
     Sufficient by bilinearity: increasing positive functions decompose as a
     constant plus a nonnegative combination of up-set indicators, and the
-    constant cross-terms coincide for stochastic kernels sharing mu.
+    constant cross-terms coincide for stochastic kernels sharing mu. With U
+    the up-set indicator matrix, all pairs at once: U' diag(mu) P U is at
+    most U' diag(mu) P_A U entrywise.
     """
-    upsets = enumerate_up_sets(n)
-    indicators = []
-    for U in upsets:
-        ind = np.zeros(len(mu))
-        if U:
-            ind[sorted(U)] = 1.0
-        indicators.append(ind)
-    for fU in indicators:
-        Pf = P @ fU
-        PAf = PA @ fU
-        for gW in indicators:
-            lhs = float(np.sum(mu * Pf * gW))
-            rhs = float(np.sum(mu * PAf * gW))
-            if lhs > rhs + tol:
-                return False
-    return True
+    U = _up_set_indicators(n)
+    return bool(np.all(U.T @ (mu[:, None] * (P - PA)) @ U <= tol))
 
 
 def check_censoring_order(G: Graph, beta: float, family: str, A: frozenset,
@@ -533,12 +530,13 @@ def censored_dominance(G: Graph, beta: float, spec: DynamicsSpec,
         schedule = [A] * t
     if len(schedule) != t:
         raise ValueError("schedule length must equal t")
+    censored = {Ai: transition_matrix(G, beta, replace(spec, censor=Ai)).P
+                for Ai in dict.fromkeys(schedule)}
     dist_unc = nu0.copy()
     dist_cen = nu0.copy()
     for Ai in schedule:
-        cens = transition_matrix(G, beta, replace(spec, censor=Ai))
         dist_unc = dist_unc @ base.P
-        dist_cen = dist_cen @ cens.P
+        dist_cen = dist_cen @ censored[Ai]
     dominates = stochastically_dominates(dist_cen, dist_unc, G.n, tol=max(tol, 1e-12))
     tv_unc = 0.5 * np.abs(dist_unc - base.mu).sum()
     tv_cen = 0.5 * np.abs(dist_cen - base.mu).sum()

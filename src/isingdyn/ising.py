@@ -11,6 +11,7 @@ log-sum-exp.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import logsumexp
@@ -249,6 +250,17 @@ def enumerate_up_sets(n: int) -> list[frozenset]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _up_set_indicators(n: int) -> np.ndarray:
+    """Read-only 0/1 matrix U[x, j] = 1 iff x lies in enumerate_up_sets(n)[j]."""
+    up_sets = enumerate_up_sets(n)
+    U = np.zeros((1 << n, len(up_sets)))
+    for j, S in enumerate(up_sets):
+        U[list(S), j] = 1.0
+    U.flags.writeable = False
+    return U
+
+
 def stochastically_dominates(nu1, nu2, n: int, tol: float = UPSET_TOL) -> bool:
     """True iff nu1 gives every up-set at least as much mass as nu2.
 
@@ -260,8 +272,5 @@ def stochastically_dominates(nu1, nu2, n: int, tol: float = UPSET_TOL) -> bool:
     nu2 = np.asarray(nu2, dtype=np.float64)
     if abs(nu1.sum() - 1.0) > tol or abs(nu2.sum() - 1.0) > tol:
         raise ValueError("inputs must be normalized distributions")
-    for U in enumerate_up_sets(n):
-        idx = sorted(U)
-        if nu1[idx].sum() < nu2[idx].sum() - tol:
-            return False
-    return True
+    U = _up_set_indicators(n)
+    return bool(np.all(nu1 @ U >= nu2 @ U - tol))

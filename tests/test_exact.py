@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from isingdyn.dynamics import DynamicsSpec
 from isingdyn.exact import (
+    M_CLUSTER_LIMIT,
+    N_DIRECT_LIMIT,
     JointSpace,
     MarkedSpace,
     censored_dominance,
@@ -21,9 +24,14 @@ from isingdyn.exact import (
     tv_mixing_time,
     verify_decompositions,
     worst_row_tv,
+    _cluster_kernel,
+    _edge_masks,
+    _subgraph_components,
+    _vertex_mask,
 )
-from isingdyn.graph import Graph, cycle, path
+from isingdyn.graph import Graph, cycle, path, random_regular
 from isingdyn.ising import gibbs_exact
+from test_acceptance import small_graph_zoo
 
 EDGE = Graph(n=2, edges=((0, 1),))
 
@@ -44,6 +52,72 @@ def sw_edge_oracle(beta):
             P[x, y] += (1.0 - p) / 4.0
     for x in (0b01, 0b10):
         P[x, :] = 0.25
+    return P
+
+
+def loop_cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
+    """Exact SW / IV / MSW kernel by summation over F subset of E(sigma).
+
+    The loop construction the library used before the Edwards-Sokal
+    factorisation, kept as an independent oracle for it.
+    """
+    if G.m > M_CLUSTER_LIMIT or G.n > N_DIRECT_LIMIT:
+        raise ValueError(f"graph too large for exact {kind} kernel")
+    size = 1 << G.n
+    p = 1.0 - math.exp(-2.0 * beta)
+    q = 1.0 - p
+    emasks = _edge_masks(G)
+    comps = _subgraph_components(G)
+    amask = _vertex_mask(A, G.n)
+    P = np.zeros((size, size))
+    for x in range(size):
+        em = int(emasks[x])
+        ne = bin(em).count("1")
+        # enumerate F over submasks of E(sigma), including empty
+        F = em
+        while True:
+            nf = bin(F).count("1")
+            wF = (p ** nf) * (q ** (ne - nf)) if p > 0 else (1.0 if nf == 0 else 0.0)
+            if wF > 0.0:
+                cms = comps[F]
+                if kind == "sw":
+                    c = len(cms)
+                    base = wF * 2.0 ** (-c)
+                    for assign in range(1 << c):
+                        tau = 0
+                        for j in range(c):
+                            if (assign >> j) & 1:
+                                tau |= cms[j]
+                        P[x, tau] += base
+                elif kind == "iv":
+                    iso = [cm for cm in cms if bin(cm).count("1") == 1
+                           and cm & amask]
+                    k = len(iso)
+                    base = wF * 2.0 ** (-k)
+                    fixed = x & ~sum(iso) if iso else x
+                    for assign in range(1 << k):
+                        tau = fixed
+                        for j in range(k):
+                            if (assign >> j) & 1:
+                                tau |= iso[j]
+                        P[x, tau] += base
+                else:  # msw: flip a contained component with prob 2^-(|C|-1)/2
+                    elig = [cm for cm in cms if (cm & ~amask) == 0]
+                    flip_p = [0.5 * 2.0 ** (1 - bin(cm).count("1")) for cm in elig]
+                    k = len(elig)
+                    for assign in range(1 << k):
+                        pr = wF
+                        tau = x
+                        for j in range(k):
+                            if (assign >> j) & 1:
+                                pr *= flip_p[j]
+                                tau ^= elig[j]
+                            else:
+                                pr *= 1.0 - flip_p[j]
+                        P[x, tau] += pr
+            if F == 0:
+                break
+            F = (F - 1) & em
     return P
 
 
@@ -83,6 +157,35 @@ class TestTransitionMatrix:
         for kind in ("sw", "iv", "msw", "glauber"):
             tm = transition_matrix(cycle(4), 0.8, DynamicsSpec(kind))
             assert np.max(np.abs(tm.P.sum(axis=1) - 1.0)) <= 1e-12
+
+
+class TestClusterKernelOracle:
+    @pytest.mark.parametrize("kind", ["sw", "iv", "msw"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_factorised_matches_loop(self, kind, beta):
+        graphs = small_graph_zoo() + [path(4), cycle(5), random_regular(6, 3, 3)]
+        for G in graphs:
+            for A in (None, frozenset(), frozenset({0}), frozenset(range(G.n))):
+                want = loop_cluster_kernel(G, beta, kind, A)
+                got = _cluster_kernel(G, beta, kind, A)
+                assert np.max(np.abs(got - want)) <= 1e-12, (G, A)
+
+    def test_guard_limit_msw(self):
+        # 10 vertices and 14 edges: 16384 edge subsets, 16 chunks of F
+        edges = cycle(10).edges + ((0, 5), (1, 6), (2, 7), (3, 8))
+        G = Graph(n=10, edges=edges)
+        tracemalloc.start()
+        try:
+            tm = transition_matrix(G, 0.3, DynamicsSpec("msw"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(tm.P.sum(axis=1) - 1.0)) <= 1e-12
+        assert check_reversibility(tm.P, tm.mu) <= 1e-10
+        assert peak < 64 * 2**20
+        G15 = Graph(n=10, edges=edges + ((4, 9),))
+        with pytest.raises(ValueError):
+            transition_matrix(G15, 0.3, DynamicsSpec("msw"))
 
 
 class TestReversibility:
