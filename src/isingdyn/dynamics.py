@@ -5,9 +5,9 @@ All step functions are pure given (configuration, StepDraws). Randomness
 consumption is fixed (see randomness module): this makes trajectories
 bit-reproducible and lets the same code drive grand couplings.
 
-Component spin draws use the component's smallest vertex's stream so that
-cluster steps are independent of component discovery order. The percolation
-tie r(e) = p is resolved as "keep".
+Component spin draws use the component's smallest vertex's stream (its
+root, as `components` returns it) so that cluster steps are independent of
+component discovery order. The percolation tie r(e) = p is resolved as "keep".
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from .randomness import StepDraws, sequential_draws
 
 __all__ = [
     "DynamicsSpec",
-    "ComponentPartition",
     "agreeing_edges",
     "percolate",
     "components",
     "sw_step",
     "iv_step",
-    "msw_step",
     "msw_step_alt",
     "glauber_step",
     "block_step",
@@ -99,18 +97,6 @@ class DynamicsSpec:
         )
 
 
-@dataclass
-class ComponentPartition:
-    """Connected components of (V, F)."""
-
-    comp_id: np.ndarray            # component id per vertex
-    members: list[list[int]]       # vertex lists, keyed by id
-
-    @property
-    def count(self) -> int:
-        return len(self.members)
-
-
 def agreeing_edges(G: Graph, spins) -> np.ndarray:
     """Boolean mask over edge indices of the monochromatic edges E(sigma)."""
     spins = np.asarray(spins)
@@ -130,8 +116,13 @@ def percolate(G: Graph, spins, beta: float, edge_uniforms) -> np.ndarray:
     return agreeing_edges(G, spins) & (np.asarray(edge_uniforms) <= p)
 
 
-def components(G: Graph, F_mask) -> ComponentPartition:
-    """Connected components of the subgraph (V, F) via union-find."""
+def components(G: Graph, F_mask) -> np.ndarray:
+    """Connected components of the subgraph (V, F) via union-find.
+
+    Returns root, an int64 array: root[v] is the smallest vertex of v's
+    component. Each union points the larger root at the smaller one, so
+    parent[v] <= v throughout and one ascending pass resolves every root.
+    """
     parent = list(range(G.n))
 
     def find(x):
@@ -140,34 +131,28 @@ def components(G: Graph, F_mask) -> ComponentPartition:
             x = parent[x]
         return x
 
-    for i, keep in enumerate(F_mask):
-        if keep:
-            u, w = G.edges[i]
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[max(ru, rw)] = min(ru, rw)
-
-    roots = {}
-    comp_id = np.empty(G.n, dtype=np.int64)
-    members: list[list[int]] = []
+    for i in np.flatnonzero(F_mask).tolist():
+        u, w = G.edges[i]
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            parent[max(ru, rw)] = min(ru, rw)
     for v in range(G.n):
-        r = find(v)
-        if r not in roots:
-            roots[r] = len(members)
-            members.append([])
-        comp_id[v] = roots[r]
-        members[comp_id[v]].append(v)
-    return ComponentPartition(comp_id=comp_id, members=members)
+        parent[v] = parent[parent[v]]
+    return np.array(parent, dtype=np.int64)
+
+
+def _in_A(n: int, A: frozenset | None) -> np.ndarray:
+    """Boolean mask of the censor set A (every vertex when A is None)."""
+    mask = np.full(n, A is None)
+    if A:
+        mask[list(A)] = True
+    return mask
 
 
 def sw_step(G: Graph, beta: float, spins, draws: StepDraws) -> np.ndarray:
     """Swendsen-Wang: percolate, then recolor every component uniformly."""
     F = percolate(G, spins, beta, draws.edge_uniforms)
-    parts = components(G, F)
-    out = np.empty(G.n, dtype=np.int8)
-    for ms in parts.members:
-        out[ms] = draws.vertex_spins[ms[0]]
-    return out
+    return draws.vertex_spins[components(G, F)]
 
 
 def iv_step(G: Graph, beta: float, spins, draws: StepDraws,
@@ -179,57 +164,29 @@ def iv_step(G: Graph, beta: float, spins, draws: StepDraws,
     deg = np.zeros(G.n, dtype=np.int64)
     np.add.at(deg, u[F], 1)
     np.add.at(deg, w[F], 1)
-    isolated = deg == 0
-    if A is not None:
-        mask = np.zeros(G.n, dtype=bool)
-        mask[sorted(A)] = True
-        isolated &= mask
+    isolated = (deg == 0) & _in_A(G.n, A)
     out = spins.copy()
     out[isolated] = draws.vertex_spins[isolated]
-    return out
-
-
-def msw_step(G: Graph, beta: float, spins, draws: StepDraws,
-             A: frozenset | None = None) -> np.ndarray:
-    """Monotone SW: a component C inside A is recolored with prob 2^-(|C|-1).
-
-    The accept draw uses u_t at the component's smallest vertex, the new
-    spin s_t at the same vertex.
-    """
-    spins = np.asarray(spins, dtype=np.int8)
-    F = percolate(G, spins, beta, draws.edge_uniforms)
-    parts = components(G, F)
-    out = spins.copy()
-    for ms in parts.members:
-        if A is not None and any(v not in A for v in ms):
-            continue
-        lead = ms[0]
-        if draws.vertex_uniforms[lead] < 2.0 ** (1 - len(ms)):
-            out[ms] = draws.vertex_spins[lead]
     return out
 
 
 def msw_step_alt(G: Graph, beta: float, spins, draws: StepDraws,
                  A: frozenset | None = None) -> np.ndarray:
     """Monotone SW via the per-vertex form: draw a spin for every vertex and
-    recolor a component iff all its draws agree.
+    recolor a component iff it lies inside A and all its draws agree.
 
-    Distributionally identical to msw_step (agreement probability of a
-    size-k component is exactly 2^-(k-1)); this is the form whose shared
+    The agreement probability of a size-k component is 2^-(k-1), as in the
+    accept-draw form of monotone SW; this is the form whose shared
     randomness yields a monotone grand coupling.
     """
     spins = np.asarray(spins, dtype=np.int8)
     F = percolate(G, spins, beta, draws.edge_uniforms)
-    parts = components(G, F)
-    out = spins.copy()
-    s = draws.vertex_spins
-    for ms in parts.members:
-        if A is not None and any(v not in A for v in ms):
-            continue
-        first = s[ms[0]]
-        if all(s[v] == first for v in ms[1:]):
-            out[ms] = first
-    return out
+    root = components(G, F)
+    lead = draws.vertex_spins[root]
+    # a component keeps its spins if any vertex disagrees or lies outside A
+    held = np.zeros(G.n, dtype=bool)
+    held[root[(draws.vertex_spins != lead) | ~_in_A(G.n, A)]] = True
+    return np.where(held[root], spins, lead)
 
 
 def glauber_step(G: Graph, beta: float, spins, draws: StepDraws) -> np.ndarray:

@@ -81,14 +81,15 @@ def _edge_masks(G: Graph):
 
 
 @lru_cache(maxsize=64)
-def _subgraph_components(G: Graph):
-    """For every edge subset F: component vertex-bitmasks and sizes."""
-    out = []
-    for F in range(1 << G.m):
-        parts = components(G, [(F >> i) & 1 for i in range(G.m)])
-        comp_masks = [sum(1 << v for v in ms) for ms in parts.members]
-        out.append(comp_masks)
-    return out
+def _subgraph_components(G: Graph) -> np.ndarray:
+    """Read-only cm[F, v]: vertex bitmask of v's component in (V, F)."""
+    roots = np.array([components(G, [(F >> i) & 1 for i in range(G.m)])
+                      for F in range(1 << G.m)])
+    cm = np.zeros_like(roots)
+    for u in range(G.n):
+        cm[roots == roots[:, u, None]] |= 1 << u
+    cm.flags.writeable = False
+    return cm
 
 
 def _vertex_mask(A: frozenset | None, n: int) -> int:
@@ -120,16 +121,9 @@ def _cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
     p = 1.0 - math.exp(-2.0 * beta)
     q = 1.0 - p
     emasks = _edge_masks(G)
-    comps = _subgraph_components(G)
+    cm = _subgraph_components(G)
     amask = _vertex_mask(A, G.n)
-    # cm[F, v]: vertex bitmask of the component of v in (V, F)
-    flat = np.array([c for cms in comps for c in cms], dtype=np.int64)
-    owner = np.repeat(np.arange(len(comps)), [len(cms) for cms in comps])
     bit = 1 << np.arange(G.n, dtype=np.int64)
-    cm = np.zeros((len(comps), G.n), dtype=np.int64)
-    for v in range(G.n):
-        hit = (flat & bit[v]) != 0
-        cm[owner[hit], v] = flat[hit]
     leader = (cm & (bit - 1)) == 0
     inside = (cm & ~amask) == 0
     if kind == "sw":
@@ -143,10 +137,10 @@ def _cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
         f1 = np.where(inside, np.where(leader, flip, 1.0), 0.0)
     k = np.arange(G.m + 1)
     w = p ** k[None, :] * q ** np.abs(k[:, None] - k[None, :])  # w[|E(x)|, |F|]
-    Fs = np.arange(len(comps))
+    Fs = np.arange(1 << G.m)
     ne, nf = np.bitwise_count(emasks), np.bitwise_count(Fs)
     R = np.zeros((1 << G.n, 1 << G.n))
-    for lo in range(0, len(comps), F_CHUNK):
+    for lo in range(0, 1 << G.m, F_CHUNK):
         blk = slice(lo, lo + F_CHUNK)
         sub = (Fs[blk] & ~emasks[:, None]) == 0  # sub[x, F] = 1[F in E(x)]
         Ablk = np.where(sub, w[ne[:, None], nf[blk]], 0.0)
@@ -389,7 +383,9 @@ class MarkedSpace:
             raise ValueError("graph too large for marked-space enumeration")
         self.joint = joint
         self.G = joint.G
-        comps = _subgraph_components(self.G)
+        # per F, its component bitmasks in order of their lowest vertex
+        comps = [list(dict.fromkeys(row))
+                 for row in _subgraph_components(self.G).tolist()]
         self.states: list[tuple[int, int, frozenset]] = []
         for F, x in joint.states:
             cms = comps[F]

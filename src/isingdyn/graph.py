@@ -42,6 +42,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     max_degree: int = field(init=False)
+    _ends: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -61,17 +62,17 @@ class Graph:
         object.__setattr__(
             self, "max_degree", max((len(a) for a in adj), default=0)
         )
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
+        ends.flags.writeable = False
+        object.__setattr__(self, "_ends", (ends[0], ends[1]))
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two int arrays (for vectorized percolation)."""
-        if self.m == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        e = np.asarray(self.edges, dtype=np.int64)
-        return e[:, 0], e[:, 1]
+        """Edge endpoints as two read-only int arrays, built once."""
+        return self._ends
 
 
 def load_edge_list(path) -> Graph:

@@ -1,10 +1,13 @@
 """Step kernels: percolation, components, and the five dynamics."""
 
+import itertools
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingdyn.dynamics import (
     DynamicsSpec,
@@ -13,7 +16,6 @@ from isingdyn.dynamics import (
     components,
     glauber_step,
     iv_step,
-    msw_step,
     msw_step_alt,
     percolate,
     run_chain,
@@ -39,6 +41,176 @@ def fixed_draws(G, edge_u=0.0, spins=1, vert_u=0.0, selector=0.0):
         vertex_uniforms=np.full(G.n, vert_u),
         selector=selector,
     )
+
+
+def msw_step(G, beta, spins, draws, A=None):
+    """Monotone SW in the accept-draw form: a component C inside A is
+    recolored with probability 2^-(|C|-1).
+
+    The accept draw uses u_t at the component's smallest vertex, the new
+    spin s_t at the same vertex. The oracle for msw_step_alt's per-vertex
+    form, which is distributionally identical.
+    """
+    spins = np.asarray(spins, dtype=np.int8)
+    root = components(G, percolate(G, spins, beta, draws.edge_uniforms))
+    size = np.bincount(root, minlength=G.n)
+    blocked = np.zeros(G.n, dtype=bool)
+    if A is not None:
+        blocked[root[[v not in A for v in range(G.n)]]] = True
+    accept = ~blocked & (draws.vertex_uniforms < 2.0 ** (1 - size))
+    return np.where(accept[root], draws.vertex_spins[root], spins)
+
+
+# The loop forms below are the union-find with member lists and the cluster
+# steps that walked it one component at a time, kept verbatim as oracles
+# for the root-array forms.
+
+
+def loop_components(G, F_mask):
+    """(comp_id, members) of (V, F): ids in order of smallest vertex."""
+    parent = list(range(G.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, keep in enumerate(F_mask):
+        if keep:
+            u, w = G.edges[i]
+            ru, rw = find(u), find(w)
+            if ru != rw:
+                parent[max(ru, rw)] = min(ru, rw)
+
+    roots = {}
+    comp_id = np.empty(G.n, dtype=np.int64)
+    members: list[list[int]] = []
+    for v in range(G.n):
+        r = find(v)
+        if r not in roots:
+            roots[r] = len(members)
+            members.append([])
+        comp_id[v] = roots[r]
+        members[comp_id[v]].append(v)
+    return comp_id, members
+
+
+def loop_sw_step(G, beta, spins, draws):
+    F = percolate(G, spins, beta, draws.edge_uniforms)
+    _, members = loop_components(G, F)
+    out = np.empty(G.n, dtype=np.int8)
+    for ms in members:
+        out[ms] = draws.vertex_spins[ms[0]]
+    return out
+
+
+def loop_msw_step(G, beta, spins, draws, A=None):
+    spins = np.asarray(spins, dtype=np.int8)
+    F = percolate(G, spins, beta, draws.edge_uniforms)
+    _, members = loop_components(G, F)
+    out = spins.copy()
+    for ms in members:
+        if A is not None and any(v not in A for v in ms):
+            continue
+        lead = ms[0]
+        if draws.vertex_uniforms[lead] < 2.0 ** (1 - len(ms)):
+            out[ms] = draws.vertex_spins[lead]
+    return out
+
+
+def loop_msw_step_alt(G, beta, spins, draws, A=None):
+    spins = np.asarray(spins, dtype=np.int8)
+    F = percolate(G, spins, beta, draws.edge_uniforms)
+    _, members = loop_components(G, F)
+    out = spins.copy()
+    s = draws.vertex_spins
+    for ms in members:
+        if A is not None and any(v not in A for v in ms):
+            continue
+        first = s[ms[0]]
+        if all(s[v] == first for v in ms[1:]):
+            out[ms] = first
+    return out
+
+
+def bfs_roots(G, F_mask):
+    """Smallest vertex reachable from each v over the edges of F."""
+    adj = [[] for _ in range(G.n)]
+    for (u, w), keep in zip(G.edges, F_mask):
+        if keep:
+            adj[u].append(w)
+            adj[w].append(u)
+    out = []
+    for v in range(G.n):
+        seen, dq = {v}, deque([v])
+        while dq:
+            for x in adj[dq.popleft()]:
+                if x not in seen:
+                    seen.add(x)
+                    dq.append(x)
+        out.append(min(seen))
+    return out
+
+
+@st.composite
+def small_graphs(draw):
+    """A random edge subset of K_n (n <= 12), in random order and orientation."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = draw(st.permutations([e for e, k in zip(pairs, keep) if k]))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    return Graph(n=n, edges=tuple((w, u) if f else (u, w)
+                                  for (u, w), f in zip(edges, flips)))
+
+
+@st.composite
+def cluster_cases(draw):
+    """(G, beta, spins, draws, A) with draws from SharedRandomness."""
+    G = draw(small_graphs())
+    beta = draw(st.sampled_from([0.0, 0.2, 0.7, 3.0]))
+    spins = np.array(draw(st.lists(st.sampled_from([-1, 1]), min_size=G.n,
+                                   max_size=G.n)), dtype=np.int8)
+    seed, t = draw(st.integers(0, 2**31)), draw(st.integers(0, 10**6))
+    A = draw(st.none() | st.frozensets(st.integers(0, G.n - 1)))
+    return G, beta, spins, SharedRandomness(seed, G.n, G.m).at(t), A
+
+
+def assert_identical(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestRootArrayProperties:
+    @settings(max_examples=200)
+    @given(small_graphs(), st.data())
+    def test_components_match_bfs_and_loop(self, G, data):
+        F = data.draw(st.lists(st.booleans(), min_size=G.m, max_size=G.m))
+        root = components(G, np.array(F, dtype=bool))
+        assert root.dtype == np.int64
+        assert root.tolist() == bfs_roots(G, F)
+        comp_id, members = loop_components(G, F)
+        assert root.tolist() == [members[c][0] for c in comp_id]
+
+    @settings(max_examples=200)
+    @given(cluster_cases())
+    def test_sw_step_matches_loop(self, case):
+        G, beta, spins, d, _ = case
+        assert_identical(sw_step(G, beta, spins, d), loop_sw_step(G, beta, spins, d))
+
+    @settings(max_examples=200)
+    @given(cluster_cases())
+    def test_msw_step_alt_matches_loop(self, case):
+        G, beta, spins, d, A = case
+        assert_identical(msw_step_alt(G, beta, spins, d, A),
+                         loop_msw_step_alt(G, beta, spins, d, A))
+
+    @settings(max_examples=200)
+    @given(cluster_cases())
+    def test_msw_step_matches_loop(self, case):
+        G, beta, spins, d, A = case
+        assert_identical(msw_step(G, beta, spins, d, A),
+                         loop_msw_step(G, beta, spins, d, A))
 
 
 class TestDynamicsSpec:
@@ -116,18 +288,14 @@ class TestPercolation:
 
 class TestComponents:
     def test_empty_F(self):
-        parts = components(cycle(4), [False] * 4)
-        assert parts.count == 4 and all(len(ms) == 1 for ms in parts.members)
+        assert components(cycle(4), [False] * 4).tolist() == [0, 1, 2, 3]
 
     def test_full_F(self):
-        parts = components(cycle(4), [True] * 4)
-        assert parts.count == 1 and len(parts.members[0]) == 4
+        assert components(cycle(4), [True] * 4).tolist() == [0, 0, 0, 0]
 
     def test_two_pairs(self):
         G = cycle(4)  # edges (0,1),(1,2),(2,3),(3,0)
-        parts = components(G, [True, False, True, False])
-        groups = {frozenset(ms) for ms in parts.members}
-        assert groups == {frozenset({0, 1}), frozenset({2, 3})}
+        assert components(G, [True, False, True, False]).tolist() == [0, 0, 2, 2]
 
 
 class TestStepFunctions:

@@ -67,7 +67,7 @@ def loop_cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
     p = 1.0 - math.exp(-2.0 * beta)
     q = 1.0 - p
     emasks = _edge_masks(G)
-    comps = _subgraph_components(G)
+    cm = _subgraph_components(G)
     amask = _vertex_mask(A, G.n)
     P = np.zeros((size, size))
     for x in range(size):
@@ -79,7 +79,7 @@ def loop_cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
             nf = bin(F).count("1")
             wF = (p ** nf) * (q ** (ne - nf)) if p > 0 else (1.0 if nf == 0 else 0.0)
             if wF > 0.0:
-                cms = comps[F]
+                cms = list(dict.fromkeys(cm[F].tolist()))  # by lowest vertex
                 if kind == "sw":
                     c = len(cms)
                     base = wF * 2.0 ** (-c)

@@ -162,3 +162,16 @@ class TestGraphInvariants:
         for i, (u, w) in enumerate(G.edges):
             assert w in G.adjacency[u] and u in G.adjacency[w]
         assert G.max_degree == 2
+
+    def test_endpoint_arrays_read_only(self):
+        G = cycle(5)
+        u, w = G.endpoint_arrays()
+        assert u.tolist() == [0, 1, 2, 3, 4] and w.tolist() == [1, 2, 3, 4, 0]
+        assert not u.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            u[0] = 2
+        assert G.endpoint_arrays()[0] is u  # built once, at construction
+        # the cached arrays stay out of equality and hashing
+        assert G == cycle(5) and hash(G) == hash(cycle(5))
+        u0, w0 = Graph(n=1, edges=()).endpoint_arrays()
+        assert u0.shape == w0.shape == (0,) and not u0.flags.writeable
