@@ -55,6 +55,7 @@ M_CLUSTER_LIMIT = 14
 M_OPERATOR_LIMIT = 6
 REV_TOL = 1e-9
 F_CHUNK = 1024
+ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -252,27 +253,67 @@ def spectral_report(P: np.ndarray, mu: np.ndarray,
     return SpectralReport(eigenvalues=lam, gap=gap, relaxation=relaxation)
 
 
-def worst_row_tv(Pt: np.ndarray, mu: np.ndarray) -> float:
-    return float(0.5 * np.max(np.abs(Pt - mu[None, :]).sum(axis=1)))
+def _far(rows: np.ndarray, mu: np.ndarray, eps: float) -> bool:
+    """Whether some row lies farther than eps from mu in total variation."""
+    dev = rows - mu
+    np.abs(dev, out=dev)
+    return bool(0.5 * dev.sum(axis=1).max() > eps)
+
+
+def _product_far(A: np.ndarray, B: np.ndarray, mu: np.ndarray,
+                 eps: float) -> bool:
+    """Whether some row of A @ B is far from mu, one row block at a time.
+
+    Stops at the first far block, so a far product is usually decided
+    after one block, and A @ B is never held whole.
+    """
+    return any(_far(A[lo:lo + ROW_BLOCK] @ B, mu, eps)
+               for lo in range(0, A.shape[0], ROW_BLOCK))
 
 
 def tv_mixing_time(P: np.ndarray, mu: np.ndarray, eps: float = 0.25,
                    cap: int = 100_000):
-    """Smallest t with worst-start TV distance from mu at most eps.
+    """Smallest t with worst-start TV distance d(t) from mu at most eps.
 
     Returns None (timeout) when the distance has not dropped below eps
     within `cap` steps, e.g. for a non-ergodic kernel.
+
+    mu must be stationary for P. Then d(t) is non-increasing in t
+    (Levin-Peres-Wilmer, Markov Chains and Mixing Times, sec. 4.4), so the
+    answer is found by a doubling search: square P while d(2^j) > eps,
+    then descend through the kept powers, adding 2^j to the largest far
+    time t while d(t + 2^j) > eps. That is about 2 log2(t) matrix
+    products instead of t. Memory is the floor(log2 t) kept powers P^(2^j)
+    plus row blocks of ROW_BLOCK rows: a probe that finds a product near
+    is never stored, and the descent updates P^t in place and drops each
+    power after its last use. d(0) = 1 - min(mu) needs no product.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
     if P.shape[0] > 1024:
         raise ValueError("state space too large for matrix powering")
-    Pt = np.eye(P.shape[0])
-    for t in range(cap + 1):
-        if worst_row_tv(Pt, mu) <= eps:
-            return t
-        Pt = Pt @ P
-    return None
+    if 1.0 - mu.min() <= eps:
+        return 0
+    t = 0  # the largest time known to have d(t) > eps
+    powers = []  # powers[j] = P^(2^j), every one with d(2^j) > eps
+    far = _far(P, mu, eps)
+    while far:
+        t = 2 * t or 1
+        if t >= cap:
+            return None
+        powers.append(powers[-1] @ powers[-1] if powers else P)
+        far = _product_far(powers[-1], powers[-1], mu, eps)
+    # The answer lies in (t, 2t] (it is 1 if t = 0): Q = P^t, bisect with
+    # the other powers, largest first.
+    Q = powers.pop() if powers else None
+    while powers:
+        B = powers.pop()
+        if _product_far(Q, B, mu, eps):
+            t += 1 << len(powers)
+            if powers:  # Q is our own product here, so update it in place
+                for lo in range(0, Q.shape[0], ROW_BLOCK):
+                    Q[lo:lo + ROW_BLOCK] = Q[lo:lo + ROW_BLOCK] @ B
+    return t + 1 if t < cap else None
 
 
 def dirichlet_form(P: np.ndarray, mu: np.ndarray, f, g) -> float:

@@ -227,6 +227,18 @@ class TestVerify:
         assert report["failed"] == 0
         assert all("skipped" in c for c in report["checks"])
 
+    @pytest.mark.parametrize("eps,t_mix", [("0.25", 29), ("0.05", 63)])
+    def test_tv_mixing_time_value(self, eps, t_mix):
+        # 1024 states; the values the step-by-step loop gave
+        res = runner.invoke(main, ["verify", "--graph", "cycle(10)",
+                                   "--beta", "0.3",
+                                   "--dynamics", '{"kind": "glauber"}',
+                                   "--eps", eps])
+        assert res.exit_code == 0
+        checks = json.loads(res.output)["checks"]
+        (c,) = [c for c in checks if c["check"] == "tv_mixing_time"]
+        assert c["value"] == t_mix and not c["timeout"]
+
     def test_check_failed_logic(self):
         assert _check_failed({"check": "x", "residual": 1e-3, "tolerance": 1e-10})
         assert not _check_failed({"check": "x", "residual": 0.0, "tolerance": 1e-10})

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,6 @@ from isingdyn.exact import (
     transition_matrix,
     tv_mixing_time,
     verify_decompositions,
-    worst_row_tv,
     _cluster_kernel,
     _edge_masks,
     _subgraph_components,
@@ -243,6 +243,24 @@ class TestSpectral:
             spectral_report(P, np.full(4, 0.25))
 
 
+def worst_row_tv(Pt, mu):
+    return float(0.5 * np.max(np.abs(Pt - mu[None, :]).sum(axis=1)))
+
+
+def loop_tv_mixing_time(P, mu, eps=0.25, cap=100_000):
+    """The step-by-step construction, kept as the oracle for the search."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0,1)")
+    if P.shape[0] > 1024:
+        raise ValueError("state space too large for matrix powering")
+    Pt = np.eye(P.shape[0])
+    for t in range(cap + 1):
+        if worst_row_tv(Pt, mu) <= eps:
+            return t
+        Pt = Pt @ P
+    return None
+
+
 class TestMixingTime:
     def test_all_rows_mu(self):
         mu = gibbs_exact(EDGE, 0.5).probs
@@ -273,6 +291,85 @@ class TestMixingTime:
             rep = spectral_report(tm.P, tm.mu)
             t = tv_mixing_time(tm.P, tm.mu, eps)
             assert (rep.relaxation - 1.0) * math.log(1.0 / (2 * eps)) <= t + 1e-9
+
+
+def _mixing_specs(n):
+    A = frozenset(range(0, n, 2))
+    halves = (frozenset(range(n // 2)), frozenset(range(n // 2, n)))
+    return {
+        "sw": DynamicsSpec("sw"),
+        "iv": DynamicsSpec("iv"),
+        "msw": DynamicsSpec("msw"),
+        "glauber": DynamicsSpec("glauber"),
+        "block": DynamicsSpec("block", blocks=halves),
+        "iv-A": DynamicsSpec("iv", censor=A),
+        "msw-A": DynamicsSpec("msw", censor=A),
+        "block-A": DynamicsSpec("block", blocks=halves, censor=A),
+    }
+
+
+MIXING_GRAPHS = {"path3": path(3), "cycle4": cycle(4), "path5": path(5),
+                 "cycle6": cycle(6)}
+ORACLE_CAP = 2000
+
+
+class TestMixingTimeSearch:
+    """The doubling search returns the step-by-step loop's integer."""
+
+    @pytest.mark.parametrize("kind", list(_mixing_specs(2)))
+    @pytest.mark.parametrize("gname", list(MIXING_GRAPHS))
+    def test_matches_loop_oracle(self, gname, kind):
+        G = MIXING_GRAPHS[gname]
+        spec = _mixing_specs(G.n)[kind]
+        for beta in (0.1, 0.4, 1.0):
+            tm = transition_matrix(G, beta, spec)
+            for eps in (0.01, 0.1, 0.25, 0.5):
+                ref = loop_tv_mixing_time(tm.P, tm.mu, eps, ORACLE_CAP)
+                caps = [0, 1, ORACLE_CAP]
+                if ref is not None:
+                    caps += [ref, ref - 1]
+                for cap in caps:
+                    expect = ref if ref is not None and ref <= cap else None
+                    assert tv_mixing_time(tm.P, tm.mu, eps, cap) == expect, \
+                        (beta, eps, cap)
+
+    def test_one_state_chain_is_mixed_at_0(self):
+        assert tv_mixing_time(np.ones((1, 1)), np.ones(1), 0.25) == 0
+
+    def test_rows_equal_to_mu_mix_at_1(self):
+        mu = gibbs_exact(path(3), 0.7).probs
+        assert tv_mixing_time(np.tile(mu, (8, 1)), mu, 0.01) == 1
+
+    def test_cap_equal_to_answer(self):
+        tm = transition_matrix(cycle(6), 0.4, DynamicsSpec("glauber"))
+        t = loop_tv_mixing_time(tm.P, tm.mu, 0.1)
+        assert t > 2
+        assert tv_mixing_time(tm.P, tm.mu, 0.1, cap=t) == t
+        assert tv_mixing_time(tm.P, tm.mu, 0.1, cap=t - 1) is None
+
+    def test_periodic_kernel_times_out(self):
+        P = np.roll(np.eye(4), 1, axis=1)
+        assert tv_mixing_time(P, np.full(4, 0.25), 0.25) is None
+
+    def test_identity_default_cap_is_fast(self):
+        # the loop takes 10^5 products here; the search about 17 squarings
+        start = time.perf_counter()
+        assert tv_mixing_time(np.eye(4), np.full(4, 0.25), 0.25) is None
+        assert time.perf_counter() - start < 0.25
+
+    def test_memory_bound_on_1024_states(self):
+        # 1024 states at t = 29: the loop peaks at 24 MiB (three matrices);
+        # the search keeps P^2..P^16 (32 MiB) plus row blocks, and would
+        # exceed 40 MiB if it stored the probe products in full.
+        tm = transition_matrix(cycle(10), 0.3, DynamicsSpec("glauber"))
+        tracemalloc.start()
+        try:
+            t = tv_mixing_time(tm.P, tm.mu, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t == 29
+        assert peak <= 40 * 2**20
 
 
 class TestDirichletForm:
