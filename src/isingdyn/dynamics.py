@@ -42,8 +42,9 @@ KINDS = ("glauber", "block", "sw", "iv", "msw")
 class DynamicsSpec:
     """Chain selector: kind, optional blocks, optional censor set A.
 
-    censor=None means the uncensored chain (A = V). SW has no censored
-    variant and rejects a censor set.
+    censor=None means the uncensored chain (A = V). SW and Glauber reject a
+    censor set: SW has no censored variant, and censored Glauber is block
+    dynamics with singleton blocks.
     """
 
     kind: str
@@ -60,6 +61,9 @@ class DynamicsSpec:
             raise ValueError(f"{self.kind} dynamics takes no blocks")
         if self.kind == "sw" and self.censor is not None:
             raise ValueError("no censoring is defined for SW dynamics")
+        if self.kind == "glauber" and self.censor is not None:
+            raise ValueError("glauber takes no censor set; write censored Glauber "
+                             "as block dynamics with singleton blocks")
 
     def validate_for(self, G: Graph):
         if self.blocks is not None:

@@ -7,6 +7,7 @@ reproducible.
 
 from __future__ import annotations
 
+import inspect
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -97,6 +98,8 @@ def load_edge_list(path) -> Graph:
                 raise GraphError(f"{path}:{lineno}: negative vertex index")
             edges.append((u, v))
             max_v = max(max_v, u, v)
+    if not edges:
+        raise GraphError(f"{path}: no edges")
     return Graph(n=max_v + 1, edges=tuple(edges))
 
 
@@ -225,4 +228,10 @@ def generate(kind: str, *args) -> Graph:
     }
     if kind not in table:
         raise GraphError(f"unknown graph kind {kind!r}")
+    sig = inspect.signature(table[kind])
+    try:
+        sig.bind(*args)
+    except TypeError:
+        raise GraphError(f"{kind} needs arguments ({', '.join(sig.parameters)}), "
+                         f"got {len(args)}") from None
     return table[kind](*args)

@@ -51,12 +51,8 @@ class SharedRandomness:
              np.uint64(t)],
             dtype=np.uint64,
         )
-        gen = np.random.Generator(np.random.Philox(key=key))
-        edge_u = gen.random(self.m)
-        spins = (2 * gen.integers(0, 2, size=self.n) - 1).astype(np.int8)
-        vert_u = gen.random(self.n)
-        sel = float(gen.random())
-        return StepDraws(edge_u, spins, vert_u, sel)
+        return _step_fields(np.random.Generator(np.random.Philox(key=key)),
+                            self.n, self.m)
 
 
 def sequential_draws(rng: np.random.Generator, n: int, m: int) -> StepDraws:
@@ -65,8 +61,13 @@ def sequential_draws(rng: np.random.Generator, n: int, m: int) -> StepDraws:
     Used by single-chain simulation, where counter-based access is not
     needed; the consumption order matches SharedRandomness.at exactly.
     """
-    edge_u = rng.random(m)
-    spins = (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
-    vert_u = rng.random(n)
-    sel = float(rng.random())
+    return _step_fields(rng, n, m)
+
+
+def _step_fields(gen: np.random.Generator, n: int, m: int) -> StepDraws:
+    """Read one step's fields from gen in the fixed consumption order."""
+    edge_u = gen.random(m)
+    spins = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
+    vert_u = gen.random(n)
+    sel = float(gen.random())
     return StepDraws(edge_u, spins, vert_u, sel)

@@ -101,15 +101,32 @@ class TestInvalidInput:
         (["couple", "--graph", "cycle(4)", "--beta", "0.5", "--seeds", "0"] + IV, {}),
         (["verify", "--graph", "path(2)", "--beta", "0.5", "--eps", "0"] + IV, {}),
         (["sample", "--graph", "cycle(4)", "--beta", "0.5", "--dynamics", "[1]"], {}),
+        (["verify", "--graph", "path(3)", "--beta", "0.5", "--dynamics",
+          '{"kind": "glauber", "censor": [0]}'], {}),
+        (["sample", "--graph", "grid(3)", "--beta", "0.5"] + IV, {}),
+        (["couple", "--graph", "random_regular(8,3)", "--beta", "0.5"] + IV, {}),
+        (["assm", "--graph", "grid(3)", "--beta", "0.5"], {}),
     ], ids=["negative-seed", "negative-seed-couple", "env-seed-abc", "gap-size-11",
             "beta-nan", "beta-negative", "t-max-0", "seeds-0", "eps-0",
-            "dynamics-not-object"])
+            "dynamics-not-object", "censored-glauber", "grid-one-arg",
+            "random-regular-two-args", "assm-grid-one-arg"])
     def test_exit2_one_line(self, argv, env):
         res = runner.invoke(main, argv, env=env)
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["sample", "couple", "assm", "verify"])
+    @pytest.mark.parametrize("text", ["", "# no edges here\n"])
+    def test_edge_list_without_edges(self, tmp_path, command, text):
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        args = [] if command == "assm" else IV
+        res = runner.invoke(main, [command, "--graph", str(g), "--beta", "0.5"] + args)
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        lines = res.stderr.strip().splitlines()
+        assert lines == [f"error: {g}: no edges"]
 
     def test_config_not_an_object(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -238,6 +255,25 @@ class TestVerify:
         checks = json.loads(res.output)["checks"]
         (c,) = [c for c in checks if c["check"] == "tv_mixing_time"]
         assert c["value"] == t_mix and not c["timeout"]
+
+    def test_iv_solves_each_spectrum_once(self, monkeypatch):
+        # the IV spectrum serves both spectral_gap and sw_iv_comparison
+        from isingdyn import exact
+        calls = []
+        real = exact.spectral_report
+
+        def counted(P, mu, *args, **kwargs):
+            calls.append(P.shape[0])
+            return real(P, mu, *args, **kwargs)
+
+        monkeypatch.setattr(exact, "spectral_report", counted)
+        res = runner.invoke(main, ["verify", "--graph", "cycle(5)",
+                                   "--beta", "0.3"] + IV)
+        assert res.exit_code == 0
+        assert calls == [32, 32]
+        (c,) = [c for c in json.loads(res.output)["checks"]
+                if c["check"] == "sw_iv_comparison"]
+        assert c["ok"] and c["gap_sw"] >= c["gap_iv"]
 
     def test_check_failed_logic(self):
         assert _check_failed({"check": "x", "residual": 1e-3, "tolerance": 1e-10})

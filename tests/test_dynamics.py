@@ -213,6 +213,16 @@ class TestRootArrayProperties:
                          loop_msw_step(G, beta, spins, d, A))
 
 
+class TestHeatBathSteps:
+    @settings(max_examples=200)
+    @given(cluster_cases())
+    def test_glauber_step_is_singleton_block_step(self, case):
+        G, beta, spins, d, _ = case
+        singletons = tuple(frozenset({v}) for v in range(G.n))
+        assert_identical(glauber_step(G, beta, spins, d),
+                         block_step(G, beta, spins, singletons, d))
+
+
 class TestDynamicsSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -221,6 +231,10 @@ class TestDynamicsSpec:
     def test_sw_censor_rejected(self):
         with pytest.raises(ValueError):
             DynamicsSpec("sw", censor=frozenset({0}))
+
+    def test_glauber_censor_rejected(self):
+        with pytest.raises(ValueError, match="singleton blocks"):
+            DynamicsSpec("glauber", censor=frozenset({0}))
 
     def test_block_needs_blocks(self):
         with pytest.raises(ValueError):

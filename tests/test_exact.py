@@ -26,6 +26,7 @@ from isingdyn.exact import (
     verify_decompositions,
     _cluster_kernel,
     _edge_masks,
+    _ratio_increasing,
     _subgraph_components,
     _vertex_mask,
 )
@@ -121,6 +122,60 @@ def loop_cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
     return P
 
 
+def loop_glauber_kernel(G: Graph, beta: float):
+    """Exact Glauber kernel by a loop over states and vertices.
+
+    The construction the library used before the heat-bath kernel took
+    Glauber as singleton blocks, kept as an independent oracle for it.
+    """
+    if G.n > N_DIRECT_LIMIT:
+        raise ValueError("graph too large for exact Glauber kernel")
+    size = 1 << G.n
+    P = np.zeros((size, size))
+    for x in range(size):
+        for v in range(G.n):
+            S = sum(1 if (x >> u) & 1 else -1 for u in G.adjacency[v])
+            p_plus = 1.0 / (1.0 + math.exp(-2.0 * beta * S))
+            P[x, x | (1 << v)] += p_plus / G.n
+            P[x, x & ~(1 << v)] += (1.0 - p_plus) / G.n
+    return P
+
+
+def loop_block_kernel(G: Graph, beta: float, blocks, A: frozenset | None, mu):
+    """Average over blocks of exact heat-bath resampling of A int B_k.
+
+    The loop construction the library used before the vectorised heat-bath
+    kernel, kept as an independent oracle for it.
+    """
+    if G.n > N_DIRECT_LIMIT:
+        raise ValueError("graph too large for exact block kernel")
+    size = 1 << G.n
+    P = np.zeros((size, size))
+    amask = _vertex_mask(A, G.n)
+    for B in blocks:
+        D = sum(1 << v for v in B) & amask
+        keep = ~D & ((1 << G.n) - 1)
+        # group configurations by their off-D assignment
+        groups: dict[int, list[int]] = {}
+        for y in range(size):
+            groups.setdefault(y & keep, []).append(y)
+        for x in range(size):
+            grp = groups[x & keep]
+            z = sum(mu[y] for y in grp)
+            for y in grp:
+                P[x, y] += mu[y] / z / len(blocks)
+    return P
+
+
+def block_shapes(n):
+    """Singleton, sliding-pair and whole-vertex-set blocks on n vertices."""
+    return {
+        "singletons": tuple(frozenset({v}) for v in range(n)),
+        "pairs": tuple(frozenset({v, min(v + 1, n - 1)}) for v in range(n)),
+        "whole": (frozenset(range(n)),),
+    }
+
+
 class TestTransitionMatrix:
     def test_glauber_n1(self):
         G = Graph(n=1, edges=())
@@ -141,10 +196,11 @@ class TestTransitionMatrix:
         assert np.max(np.abs(P - np.eye(8))) <= 1e-14
 
     def test_block_singletons_equals_glauber(self):
+        # the two loop oracles, independent constructions of the same kernel
         G = path(3)
         blocks = tuple(frozenset({v}) for v in range(3))
-        Pb = transition_matrix(G, 0.6, DynamicsSpec("block", blocks=blocks)).P
-        Pg = transition_matrix(G, 0.6, DynamicsSpec("glauber")).P
+        Pb = loop_block_kernel(G, 0.6, blocks, None, gibbs_exact(G, 0.6).probs)
+        Pg = loop_glauber_kernel(G, 0.6)
         assert np.max(np.abs(Pb - Pg)) <= 1e-12
 
     def test_block_full_rows_are_mu(self):
@@ -186,6 +242,32 @@ class TestClusterKernelOracle:
         G15 = Graph(n=10, edges=edges + ((4, 9),))
         with pytest.raises(ValueError):
             transition_matrix(G15, 0.3, DynamicsSpec("msw"))
+
+
+class TestHeatBathOracle:
+    @pytest.mark.parametrize("shape", ["singletons", "pairs", "whole"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_vectorised_matches_loops(self, shape, beta):
+        graphs = small_graph_zoo() + [path(4), cycle(5), random_regular(6, 3, 3)]
+        for G in graphs:
+            blocks = block_shapes(G.n)[shape]
+            mu = gibbs_exact(G, beta).probs
+            for A in (None, frozenset(), frozenset({0}), frozenset(range(G.n))):
+                spec = DynamicsSpec("block", blocks=blocks, censor=A)
+                got = transition_matrix(G, beta, spec).P
+                want = loop_block_kernel(G, beta, blocks, A, mu)
+                assert np.max(np.abs(got - want)) <= 1e-12, (G, A)
+            if shape == "singletons":
+                got = transition_matrix(G, beta, DynamicsSpec("glauber")).P
+                assert np.max(np.abs(got - loop_glauber_kernel(G, beta))) <= 1e-12, G
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_guard(self):
+        with pytest.raises(ValueError):
+            transition_matrix(path(N_DIRECT_LIMIT + 1), 0.3, DynamicsSpec("glauber"))
+        # no vertex to update: the rows are NaN, which the row check rejects
+        with pytest.raises(ValueError, match="rows"):
+            transition_matrix(Graph(n=0, edges=()), 0.3, DynamicsSpec("glauber"))
 
 
 class TestReversibility:
@@ -555,6 +637,23 @@ class TestCensoredDominance:
                 dom, tv_ok = censored_dominance(
                     G, 0.5, DynamicsSpec("iv"), A, nu0, t)
                 assert dom and tv_ok
+
+    def test_all_minus_start_rejected(self):
+        # a point mass at the bottom state: nu0/mu falls from 1/mu(0) to 0
+        nu0 = np.zeros(8)
+        nu0[0] = 1.0
+        with pytest.raises(ValueError, match="increasing"):
+            censored_dominance(path(3), 0.5, DynamicsSpec("iv"), frozenset({0}),
+                               nu0, 3)
+
+    def test_ratio_tolerance_on_every_comparable_pair(self):
+        # each covering step falls by 0.8e-12, inside the 1e-12 tolerance,
+        # but 000 <= 111 falls by 2.4e-12, which must count as decreasing
+        mu = np.full(8, 1.0 / 8.0)
+        depth = np.array([bin(x).count("1") for x in range(8)])
+        assert not _ratio_increasing((1.0 - 0.8e-12 * depth) * mu, mu, 3)
+        assert _ratio_increasing((1.0 - 0.3e-12 * depth) * mu, mu, 3)
+        assert _ratio_increasing((1.0 + depth) * mu, mu, 3)
 
     def test_uniform_start_rejected(self):
         G = path(3)

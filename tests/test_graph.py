@@ -64,6 +64,13 @@ class TestLoadEdgeList:
         with pytest.raises(GraphError, match="duplicate"):
             load_edge_list(p)
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+    def test_no_edges_rejected(self, tmp_path, text):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        with pytest.raises(GraphError, match="no edges"):
+            load_edge_list(p)
+
     def test_garbage_names_line(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("0 1\nnope\n")
@@ -146,6 +153,12 @@ class TestGenerators:
     def test_unknown_kind(self):
         with pytest.raises(GraphError):
             generate("torus", 3)
+
+    @pytest.mark.parametrize("kind,args", [("grid", (3,)), ("random_regular", (8, 3)),
+                                           ("cycle", ()), ("path", (3, 4))])
+    def test_wrong_argument_count(self, kind, args):
+        with pytest.raises(GraphError, match=f"got {len(args)}"):
+            generate(kind, *args)
 
 
 class TestGraphInvariants:
