@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "Graph",
     "GraphError",
+    "MAX_VERTICES",
     "load_edge_list",
     "ball",
     "sphere",
@@ -28,8 +29,16 @@ __all__ = [
 ]
 
 
+MAX_VERTICES = 2**20
+
+
 class GraphError(ValueError):
     """Invalid graph input (bad file, self-loop, infeasible parameters)."""
+
+
+def _check_size(n: int, what: str):
+    if n > MAX_VERTICES:
+        raise GraphError(f"{what} has more than MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,7 @@ class Graph:
     _ends: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_size(self.n, "graph")
         seen = set()
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(self.edges):
@@ -96,6 +106,7 @@ def load_edge_list(path) -> Graph:
                 ) from None
             if u < 0 or v < 0:
                 raise GraphError(f"{path}:{lineno}: negative vertex index")
+            _check_size(max(u, v) + 1, f"{path}:{lineno}: a graph with vertex {max(u, v)}")
             edges.append((u, v))
             max_v = max(max_v, u, v)
     if not edges:
@@ -217,21 +228,40 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     raise GraphError(f"pairing model failed to produce a simple {d}-regular graph")
 
 
+def _complete_tree_size(d: int, h: int) -> int:
+    """Vertex count of complete_tree(d, h), stopping once past MAX_VERTICES."""
+    n = level = 1
+    for depth in range(h):
+        level *= d if depth == 0 else d - 1
+        n += level
+        if n > MAX_VERTICES:
+            break
+    return n
+
+
+_GENERATORS = {  # name -> (generator, vertex count implied by its arguments)
+    "cycle": (cycle, lambda n: n),
+    "path": (path, lambda n: n),
+    "grid": (grid, lambda w, h: w * h),
+    "complete_tree": (complete_tree, _complete_tree_size),
+    "random_regular": (random_regular, lambda n, d, seed: n),
+}
+
+
 def generate(kind: str, *args) -> Graph:
-    """Dispatch on a generator name: cycle, path, grid, complete_tree, random_regular."""
-    table = {
-        "cycle": cycle,
-        "path": path,
-        "grid": grid,
-        "complete_tree": complete_tree,
-        "random_regular": random_regular,
-    }
-    if kind not in table:
+    """Dispatch on a generator name: cycle, path, grid, complete_tree, random_regular.
+
+    The vertex count the arguments imply is checked against MAX_VERTICES
+    before anything is built.
+    """
+    if kind not in _GENERATORS:
         raise GraphError(f"unknown graph kind {kind!r}")
-    sig = inspect.signature(table[kind])
+    fn, size = _GENERATORS[kind]
+    sig = inspect.signature(fn)
     try:
         sig.bind(*args)
     except TypeError:
         raise GraphError(f"{kind} needs arguments ({', '.join(sig.parameters)}), "
                          f"got {len(args)}") from None
-    return table[kind](*args)
+    _check_size(size(*args), f"{kind}({', '.join(map(str, args))})")
+    return fn(*args)

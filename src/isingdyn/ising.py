@@ -117,26 +117,29 @@ def _component_of(G: Graph, v: int, blocked) -> list[int]:
 def clamped_marginals(G: Graph, beta: float, v: int, clamp: dict):
     """P(sigma(v)=+) under mu with the vertices of `clamp` fixed.
 
-    `clamp` maps each fixed vertex to its spin: either a +/-1 number (one
-    clamping; a float is returned) or an array of +/-1 values, all of one
-    length, one entry per clamping (an array of marginals is returned).
-    Only the component of v in G minus the clamped set matters: the rest
-    factors out of the conditional. Tree components use exact message
-    passing, whose arithmetic never mutates its operands, so one clamping
-    runs on plain floats; other components are enumerated (at most
-    2^ENUM_LIMIT states).
+    `clamp` maps each fixed vertex to its spin: a +/-1 number (one
+    clamping), or an array of +/-1 values, one entry per clamping. The
+    arrays need only broadcast together: equal-length arrays give one
+    marginal per index, and arrays of length 2 on distinct axes give the
+    marginal for every combination. The result has the broadcast shape of
+    the clampings next to v's free component (a scalar when they are all
+    numbers). Only that component, v's component in G minus the clamped
+    set, matters: the rest factors out of the conditional. Tree components
+    use exact message passing, whose arithmetic never mutates its operands,
+    so one clamping runs on plain floats and each message carries only the
+    axes of the clampings below it; other components are enumerated (at
+    most 2^ENUM_LIMIT states).
     """
     comp = _component_of(G, v, clamp)
     comp_set = set(comp)
-    zero = 0 * next(iter(clamp.values()), 0)  # a zero of the clamping shape
 
     def field(u):
-        return beta * sum((clamp[w] for w in G.adjacency[u] if w in clamp), zero)
+        return beta * sum((clamp[w] for w in G.adjacency[u] if w in clamp), 0)
 
     twice_edges = sum(w in comp_set for u in comp for w in G.adjacency[u])
     if twice_edges == 2 * (len(comp) - 1):
         return _tree_marginals(G, beta, v, comp_set, field)
-    return _enum_marginals(G, beta, v, comp, field, np.shape(zero))
+    return _enum_marginals(G, beta, v, comp, field)
 
 
 def _tree_marginals(G, beta, v, comp_set, field):
@@ -170,35 +173,67 @@ def _tree_marginals(G, beta, v, comp_set, field):
     raise AssertionError("unreachable")
 
 
-def _enum_marginals(G, beta, v, comp, field, shape):
-    """Enumeration over the free component, chunked over clampings."""
+def _enum_marginals(G, beta, v, comp, field):
+    """Enumeration over the free component, factored through its boundary.
+
+    Fields that are the same for every clamping are folded into the
+    interior energy, whose weight is then summed once per pattern of v and
+    the boundary B (the vertices whose field varies). Each clamping costs
+    2^(|B|+1) terms, chunked over clampings; the normalisation is the
+    maximum total energy per clamping, as in a direct enumeration.
+    """
     k = len(comp)
     if k > ENUM_LIMIT:
         raise FeasibilityError(f"free region of size {k} exceeds limit {ENUM_LIMIT}")
-    pos = {u: i for i, u in enumerate(comp)}
-    inner = np.arange(1 << k, dtype=np.int64)
-    spins = np.empty((k, 1 << k), dtype=np.int8)  # row i: spin of comp[i]
-    for i in range(k):
-        spins[i] = 2 * ((inner >> i) & 1) - 1
-    e_int = np.zeros(1 << k)
-    for u in comp:
-        for w in G.adjacency[u]:
-            if w in pos and w > u:
-                e_int += beta * (spins[pos[u]] * spins[pos[w]])
-    H = np.array([field(u) for u in comp], dtype=np.float64).reshape(k, -1)
-    n_tau = H.shape[1]
+    h = {u: field(u) for u in comp}
+    bnd = [u for u in comp if u != v and np.ndim(h[u]) > 0]
+    order = [u for u in comp if u != v and u not in bnd] + [v] + bnd
+    top, W = _pattern_weights(G, beta, order, h, len(bnd) + 1)
+    H = [h[v] if np.ndim(h[v]) else 0.0] + [h[u] for u in bnd]
+    shape = np.broadcast_shapes(*map(np.shape, H))
+    H = [np.broadcast_to(hb, shape).reshape(-1) for hb in H]
+    plus = W * (np.arange(len(W)) & 1)  # bit 0 of a pattern is v's spin
+    n_tau = int(np.prod(shape))
     out = np.empty(n_tau)
-    plus = spins[pos[v]] > 0
-    chunk = max(1, (1 << 22) // (1 << k))
+    chunk = max(1, (1 << 21) // len(W))
     for start in range(0, n_tau, chunk):
         sl = slice(start, min(start + chunk, n_tau))
-        loge = np.repeat(e_int[:, None], sl.stop - start, axis=1)
-        for i in range(k):
-            loge += spins[i][:, None] * H[i, sl]
-        loge -= loge.max(axis=0, keepdims=True)
-        w = np.exp(loge)
-        out[sl] = w[plus].sum(axis=0) / w.sum(axis=0)
+        E = np.empty((len(W), sl.stop - start))
+        E[0] = 0.0
+        for b, hb in enumerate(H):  # pattern energies, one bit at a time
+            E[1 << b:2 << b] = E[:1 << b] + hb[sl]
+            E[:1 << b] -= hb[sl]
+        E += top[:, None]
+        E -= E.max(axis=0)
+        np.exp(E, out=E)
+        out[sl] = (plus @ E) / (W @ E)
     return out.reshape(shape)
+
+
+def _pattern_weights(G, beta, order, h, n_kept):
+    """Interior weight of each pattern of the last n_kept vertices of `order`.
+
+    Pattern q sets order[-n_kept + j] to + iff bit j of q is set. Every
+    other vertex is summed out, with the edges inside `order` and the
+    constant fields of h (fields that are numbers) in the energy. Returns
+    (top, W): the pattern's largest log-weight and its weight relative to it.
+    """
+    k = len(order)
+    pos = {u: i for i, u in enumerate(order)}
+    spins = np.empty((k, 1 << k), dtype=np.int8)  # row i: bit i of the code
+    for i in range(k):
+        spins[i] = np.tile(np.repeat(np.int8([-1, 1]), 1 << i), 1 << (k - 1 - i))
+    agree = sum((spins[i] * spins[pos[w]] for i, u in enumerate(order)
+                 for w in G.adjacency[u] if pos.get(w, -1) > i),
+                np.zeros(1 << k, dtype=np.int16))
+    e = beta * agree
+    for i, u in enumerate(order):
+        if np.ndim(h[u]) == 0 and h[u] != 0:
+            e += h[u] * spins[i]
+    e = e.reshape(1 << n_kept, -1)
+    top = e.max(axis=1)
+    e -= top[:, None]
+    return top, np.exp(e, out=e).sum(axis=1)
 
 
 def conditional_marginal(G: Graph, beta: float, v: int, boundary: dict) -> float:

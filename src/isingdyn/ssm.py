@@ -8,7 +8,8 @@ when only u's spin flips. The supremum is an exhaustive maximum over all
 
 Conditioning clamps the sphere S(v,R) and marginalizes everything else;
 the marginals for all sphere configurations come from one vectorized pass
-of ising.clamped_marginals.
+of ising.clamped_marginals, with each sphere vertex's clamping on its own
+axis.
 """
 
 from __future__ import annotations
@@ -57,14 +58,15 @@ class InfluenceTable:
 
 
 def _sphere_marginals(G: Graph, beta: float, v: int, S: list[int]) -> np.ndarray:
-    """P(sigma(v)=+ | sphere = tau) for every encoded tau on S.
+    """P(sigma(v)=+ | sphere = tau) for every tau on S, as a (2,)*|S| array.
 
-    tau is bit-encoded over S in list order; returns an array of length
-    2^|S|.
+    S[j] is clamped on axis |S|-1-j (index 0 is -, 1 is +), so flattening
+    in C order indexes tau by its bit encoding over S in list order.
     """
-    codes = np.arange(1 << len(S), dtype=np.int64)
-    clamp = {u: 2 * ((codes >> j) & 1) - 1 for j, u in enumerate(S)}
-    return clamped_marginals(G, beta, v, clamp)
+    k = len(S)
+    clamp = {u: np.array([-1, 1]).reshape([2 if a == k - 1 - j else 1 for a in range(k)])
+             for j, u in enumerate(S)}
+    return np.broadcast_to(clamped_marginals(G, beta, v, clamp), (2,) * k)
 
 
 def _influences(G: Graph, beta: float, v: int, R: int) -> dict:
@@ -75,12 +77,8 @@ def _influences(G: Graph, beta: float, v: int, R: int) -> dict:
         raise FeasibilityError(
             f"sphere of size {len(S)} at (v={v}, R={R}) exceeds limit {SPHERE_LIMIT}")
     marg = _sphere_marginals(G, beta, v, S)
-    codes = np.arange(len(marg))
-    out = {}
-    for j, u in enumerate(S):
-        hi = (codes >> j) & 1 == 1
-        out[u] = float(np.max(np.abs(marg[hi] - marg[~hi])))
-    return out
+    return {u: float(np.max(np.abs(np.diff(marg, axis=len(S) - 1 - j))))
+            for j, u in enumerate(S)}
 
 
 def influence_au(G: Graph, beta: float, v: int, R: int, u: int) -> float:

@@ -1,6 +1,7 @@
 """Command-line driver: flags, config precedence, outputs, exit codes."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -116,6 +117,20 @@ class TestInvalidInput:
         assert isinstance(res.exception, SystemExit)
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("graph", ["complete_tree(3,40)",
+                                       "cycle(99999999999999999999)", "file"],
+                             ids=["complete-tree-3-40", "cycle-1e20", "edge-list-1e11"])
+    def test_graph_past_vertex_limit(self, tmp_path, graph):
+        if graph == "file":
+            graph = tmp_path / "g.txt"
+            graph.write_text("0 1\n0 99999999999\n")
+        start = time.perf_counter()
+        res = runner.invoke(main, ["sample", "--graph", str(graph), "--beta", "0.5"] + IV)
+        assert time.perf_counter() - start < 5
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and "MAX_VERTICES" in lines[0], lines
 
     @pytest.mark.parametrize("command", ["sample", "couple", "assm", "verify"])
     @pytest.mark.parametrize("text", ["", "# no edges here\n"])

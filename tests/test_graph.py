@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isingdyn.graph import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     ball,
@@ -69,6 +70,12 @@ class TestLoadEdgeList:
         p = tmp_path / "g.txt"
         p.write_text(text)
         with pytest.raises(GraphError, match="no edges"):
+            load_edge_list(p)
+
+    def test_vertex_past_limit_names_line(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_text(f"0 1\n0 {MAX_VERTICES}\n")
+        with pytest.raises(GraphError, match=":2: .*MAX_VERTICES"):
             load_edge_list(p)
 
     def test_garbage_names_line(self, tmp_path):
@@ -159,6 +166,22 @@ class TestGenerators:
     def test_wrong_argument_count(self, kind, args):
         with pytest.raises(GraphError, match=f"got {len(args)}"):
             generate(kind, *args)
+
+
+    @pytest.mark.parametrize("kind,args", [
+        ("cycle", (MAX_VERTICES + 1,)), ("path", (10**20,)), ("grid", (1025, 1024)),
+        ("complete_tree", (3, 40)), ("complete_tree", (2, 10**20)),
+        ("random_regular", (MAX_VERTICES + 2, 3, 1))])
+    def test_size_bound(self, kind, args):
+        with pytest.raises(GraphError, match="MAX_VERTICES"):
+            generate(kind, *args)
+
+    @pytest.mark.parametrize("d,h", [(2, 0), (2, 5), (3, 4), (5, 3)])
+    def test_complete_tree_size_below_bound(self, d, h):
+        assert generate("complete_tree", d, h).n == complete_tree(d, h).n
+
+    def test_bound_is_inclusive(self):
+        assert generate("path", MAX_VERTICES).n == MAX_VERTICES
 
 
 class TestGraphInvariants:

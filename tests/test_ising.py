@@ -2,14 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from isingdyn.graph import Graph, complete_tree, cycle, grid, path, sphere
 from isingdyn.ising import (
+    ENUM_LIMIT,
     FeasibilityError,
+    _component_of,
+    _enum_marginals,
     beta_c,
     clamped_marginals,
     code_leq,
@@ -145,14 +149,27 @@ class TestConditionalMarginal:
                     hi = conditional_marginal(G, beta, 0, {1: bits_hi[0], 3: bits_hi[1]})
                     assert lo <= hi + 1e-10
 
-    @pytest.mark.parametrize("G,v,R", [(complete_tree(3, 3), 1, 1),  # tree
-                                       (grid(4, 4), 0, 2)],  # has a 4-cycle
-                             ids=["tree", "enumeration"])
-    def test_many_clampings_match_one_at_a_time(self, G, v, R):
+    @pytest.mark.parametrize("G,v,R,per_axis", [
+        (complete_tree(3, 3), 1, 1, False),  # tree
+        (grid(4, 4), 0, 2, False),  # has a 4-cycle
+        (complete_tree(3, 3), 1, 1, True),
+        (grid(4, 4), 0, 2, True),
+    ], ids=["tree", "enumeration", "tree-per-axis", "enumeration-per-axis"])
+    def test_many_clampings_match_one_at_a_time(self, G, v, R, per_axis):
         S = sorted(sphere(G, v, R))
         codes = np.arange(1 << len(S))
         spins = {u: 2 * ((codes >> j) & 1) - 1 for j, u in enumerate(S)}
-        batched = clamped_marginals(G, 0.6, v, spins)
+        if per_axis:
+            # bit j on axis k-1-j: the C-order flattening is the code order
+            k = len(S)
+            axes = {u: np.array([-1, 1]).reshape([2 if a == k - 1 - j else 1
+                                                  for a in range(k)])
+                    for j, u in enumerate(S)}
+            batched = clamped_marginals(G, 0.6, v, axes)
+            assert batched.shape == (2,) * k
+            batched = batched.reshape(-1)
+        else:
+            batched = clamped_marginals(G, 0.6, v, spins)
         assert batched.shape == codes.shape
         for c in codes:
             one = conditional_marginal(G, 0.6, v, {u: int(s[c]) for u, s in spins.items()})
@@ -162,6 +179,110 @@ class TestConditionalMarginal:
         # a 25-vertex grid component is not a tree and exceeds 2^20 states
         with pytest.raises(FeasibilityError, match="exceeds limit"):
             conditional_marginal(grid(5, 5), 0.3, 0, {})
+
+
+def loop_enum_marginals(G, beta, v, comp, field, shape):
+    """Enumeration over the free component, chunked over clampings.
+
+    The direct form, kept as the test oracle: every clamping re-sums all
+    2^|comp| states, with every vertex's field added one row at a time.
+    """
+    k = len(comp)
+    if k > ENUM_LIMIT:
+        raise FeasibilityError(f"free region of size {k} exceeds limit {ENUM_LIMIT}")
+    pos = {u: i for i, u in enumerate(comp)}
+    inner = np.arange(1 << k, dtype=np.int64)
+    spins = np.empty((k, 1 << k), dtype=np.int8)  # row i: spin of comp[i]
+    for i in range(k):
+        spins[i] = 2 * ((inner >> i) & 1) - 1
+    e_int = np.zeros(1 << k)
+    for u in comp:
+        for w in G.adjacency[u]:
+            if w in pos and w > u:
+                e_int += beta * (spins[pos[u]] * spins[pos[w]])
+    H = np.array([field(u) for u in comp], dtype=np.float64).reshape(k, -1)
+    n_tau = H.shape[1]
+    out = np.empty(n_tau)
+    plus = spins[pos[v]] > 0
+    chunk = max(1, (1 << 22) // (1 << k))
+    for start in range(0, n_tau, chunk):
+        sl = slice(start, min(start + chunk, n_tau))
+        loge = np.repeat(e_int[:, None], sl.stop - start, axis=1)
+        for i in range(k):
+            loge += spins[i][:, None] * H[i, sl]
+        loge -= loge.max(axis=0, keepdims=True)
+        w = np.exp(loge)
+        out[sl] = w[plus].sum(axis=0) / w.sum(axis=0)
+    return out.reshape(shape)
+
+
+def fields(G, beta, clamp, start=0):
+    """The field on each vertex from its clamped neighbours."""
+    return lambda u: beta * sum((clamp[w] for w in G.adjacency[u] if w in clamp), start)
+
+
+@st.composite
+def clamped_graphs(draw):
+    """A graph on n <= 9 vertices holding the triangle 0-1-2, a center v
+    and a clamped set that avoids v."""
+    n = draw(st.integers(3, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)
+             if (a, b) not in ((0, 1), (1, 2), (0, 2))]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))
+                 if pairs else st.just([]))
+    G = Graph(n=n, edges=((0, 1), (1, 2), (0, 2), *extra))
+    v = draw(st.integers(0, n - 1))
+    clamped = draw(st.lists(st.sampled_from([u for u in range(n) if u != v]),
+                            unique=True, max_size=n - 1))
+    return G, v, clamped
+
+
+class TestEnumeration:
+    """The boundary-factored enumeration against the direct loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(clamped_graphs(), st.floats(0.0, 1.5),
+           st.sampled_from(["one", "arrays", "per-axis"]), st.data())
+    def test_matches_loop(self, case, beta, form, data):
+        G, v, clamped = case
+        if form == "one":
+            clamp = {u: data.draw(st.sampled_from([-1, 1])) for u in clamped}
+        elif form == "arrays":
+            length = data.draw(st.integers(1, 6))
+            clamp = {u: np.array(data.draw(st.lists(st.sampled_from([-1, 1]),
+                                                    min_size=length, max_size=length)))
+                     for u in clamped}
+        else:
+            k = len(clamped)
+            clamp = {u: np.array([-1, 1]).reshape([2 if a == j else 1 for a in range(k)])
+                     for j, u in enumerate(clamped)}
+        # the oracle takes one number or equal-length arrays per vertex
+        shape = np.broadcast_shapes(*map(np.shape, clamp.values()))
+        flat = {u: np.broadcast_to(s, shape).reshape(-1) if shape else s
+                for u, s in clamp.items()}
+        comp = _component_of(G, v, clamp)
+        got = _enum_marginals(G, beta, v, comp, fields(G, beta, clamp))
+        zero = 0 * next(iter(flat.values()), 0)
+        want = loop_enum_marginals(G, beta, v, comp, fields(G, beta, flat, zero),
+                                   np.shape(zero))
+        got = np.broadcast_to(got, shape).reshape(np.shape(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("G,clamped", [
+        (grid(5, 4), []),  # one clamping, 2^20 states
+        (grid(6, 4), [5, 11, 17, 23]),  # 16 clampings of the last column
+    ], ids=["one-clamping", "16-clampings"])
+    def test_peak_memory_20_vertex_region(self, G, clamped):
+        codes = np.arange(1 << len(clamped))
+        clamp = {u: 2 * ((codes >> j) & 1) - 1 for j, u in enumerate(clamped)}
+        tracemalloc.start()
+        try:
+            out = clamped_marginals(G, 0.3, 0, clamp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shape(out) == ((16,) if clamped else ())
+        assert peak <= 64 * 2**20, peak / 2**20
 
 
 class TestPartialOrder:

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from isingdyn.graph import Graph, cycle, path
-from isingdyn.ising import gibbs_exact
+from isingdyn.graph import Graph, ball, complete_tree, cycle, grid, path, sphere
+from isingdyn.ising import clamped_marginals, gibbs_exact
 from isingdyn.ssm import (
     FeasibilityError,
+    _influences,
     assm_check,
     find_assm_radius,
     influence_au,
@@ -40,6 +41,45 @@ def influence_oracle(G, beta, v, S, u):
             vals[su] = num / den
         worst = max(worst, abs(vals[1] - vals[-1]))
     return worst
+
+
+def full_length_influences(G, beta, v, R):
+    """Sphere influences from full-length clampings: every sphere vertex
+    gets an array of all 2^|S| codes, and a_u is read off by boolean
+    gathers on bit j of the code."""
+    S = sorted(sphere(G, v, R))
+    codes = np.arange(1 << len(S), dtype=np.int64)
+    clamp = {u: 2 * ((codes >> j) & 1) - 1 for j, u in enumerate(S)}
+    marg = clamped_marginals(G, beta, v, clamp)
+    out = {}
+    for j, u in enumerate(S):
+        hi = (codes >> j) & 1 == 1
+        out[u] = float(np.max(np.abs(marg[hi] - marg[~hi])))
+    return out
+
+
+def longdouble_influences(G, beta, v, R):
+    """a_u by brute force in long double over every configuration of
+    B(v,R) and S(v,R); outside the ball the sphere screens v off."""
+    inner = sorted(ball(G, v, R))
+    S = sorted(sphere(G, v, R))
+    verts = inner + S
+    idx = {u: i for i, u in enumerate(verts)}
+    x = np.arange(1 << len(verts), dtype=np.int32)
+    spin = {u: (2 * ((x >> i) & 1) - 1).astype(np.int8) for u, i in idx.items()}
+    agree = np.zeros(len(x), dtype=np.int16)
+    for a, b in G.edges:
+        if a in idx and b in idx:
+            agree += spin[a] * spin[b]
+    levels = np.arange(agree.min(), agree.max() + 1)
+    w = np.exp(np.longdouble(beta) * levels.astype(np.longdouble))[agree - levels[0]]
+    plus = (x >> idx[v]) & 1
+    # row tau: the sphere configuration's code over S; columns: the ball
+    num = (w * plus).reshape(1 << len(S), -1).sum(axis=1)
+    marg = num / w.reshape(1 << len(S), -1).sum(axis=1)
+    codes = np.arange(1 << len(S))
+    return {u: np.max(np.abs(marg[(codes >> j) & 1 == 1] - marg[(codes >> j) & 1 == 0]))
+            for j, u in enumerate(S)}
 
 
 class TestInfluence:
@@ -145,3 +185,31 @@ class TestFindRadius:
             totals.append(table.total)
         assert totals[-1] <= 0.25
         assert totals == sorted(totals, reverse=True)
+
+
+class TestSphereAxes:
+    """Per-axis sphere clampings against the full-length form and a
+    long-double reference."""
+
+    def test_tree_bit_identical(self):
+        G = complete_tree(3, 4)
+        for R in range(5):
+            for v in range(G.n):
+                try:
+                    got = _influences(G, 0.4, v, R)
+                except FeasibilityError:  # sphere past SPHERE_LIMIT
+                    continue
+                assert got == full_length_influences(G, 0.4, v, R), (v, R)
+
+    def test_enumeration_accuracy(self):
+        G = grid(5, 5)
+        got = _influences(G, 0.2, 12, 2)
+        want = longdouble_influences(G, 0.2, 12, 2)
+        assert got.keys() == want.keys()
+        for u in want:
+            assert abs(got[u] - float(want[u])) <= 1e-15, (u, got[u] - float(want[u]))
+
+    def test_symmetric_vertices_agree(self):
+        # 9, 22 and 27 are one orbit of the square's symmetries in grid(6,6)
+        totals = [assm_check(grid(6, 6), 0.3, v, 3)[1].total for v in (9, 22, 27)]
+        assert max(totals) - min(totals) <= 1e-14, totals
