@@ -150,18 +150,21 @@ def sphere(G: Graph, v: int, R: int) -> frozenset:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs n >= 3")
+    _check_size(n, f"cycle({n})")
     return Graph(n=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs n >= 1")
+    _check_size(n, f"path({n})")
     return Graph(n=n, edges=tuple((i, i + 1) for i in range(n - 1)))
 
 
 def grid(w: int, h: int) -> Graph:
     if w < 1 or h < 1:
         raise GraphError("grid needs positive dimensions")
+    _check_size(w * h, f"grid({w}, {h})")
     idx = lambda x, y: y * w + x
     edges = []
     for y in range(h):
@@ -183,19 +186,20 @@ def complete_tree(d: int, h: int) -> Graph:
         raise GraphError("complete_tree needs d >= 2")
     if h < 0:
         raise GraphError("complete_tree needs h >= 0")
-    edges = []
-    level = [0]
-    nxt = 1
+    sizes = [1]  # vertices at each depth, numbered depth by depth
+    n = 1
     for depth in range(h):
-        new_level = []
-        for v in level:
-            k = d if depth == 0 else d - 1
-            for _ in range(k):
-                edges.append((v, nxt))
-                new_level.append(nxt)
-                nxt += 1
-        level = new_level
-    return Graph(n=nxt, edges=tuple(edges))
+        sizes.append(sizes[-1] * (d if depth == 0 else d - 1))
+        n += sizes[-1]
+        _check_size(n, f"complete_tree({d}, {h})")
+    edges = []
+    first = 0  # first vertex at this depth
+    for depth, size in enumerate(sizes[:-1]):
+        k = d if depth == 0 else d - 1
+        edges.extend((first + i, first + size + i * k + j)
+                     for i in range(size) for j in range(k))
+        first += size
+    return Graph(n=n, edges=tuple(edges))
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
@@ -204,6 +208,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         raise GraphError("random_regular needs n*d even")
     if d >= n:
         raise GraphError("random_regular needs d < n")
+    _check_size(n, f"random_regular({n}, {d}, {seed})")
     rng = np.random.default_rng(np.random.SeedSequence((0x5E6, seed)))
     stubs = np.repeat(np.arange(n), d)
     for _ in range(2000):
@@ -228,40 +233,25 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     raise GraphError(f"pairing model failed to produce a simple {d}-regular graph")
 
 
-def _complete_tree_size(d: int, h: int) -> int:
-    """Vertex count of complete_tree(d, h), stopping once past MAX_VERTICES."""
-    n = level = 1
-    for depth in range(h):
-        level *= d if depth == 0 else d - 1
-        n += level
-        if n > MAX_VERTICES:
-            break
-    return n
-
-
-_GENERATORS = {  # name -> (generator, vertex count implied by its arguments)
-    "cycle": (cycle, lambda n: n),
-    "path": (path, lambda n: n),
-    "grid": (grid, lambda w, h: w * h),
-    "complete_tree": (complete_tree, _complete_tree_size),
-    "random_regular": (random_regular, lambda n, d, seed: n),
-}
-
-
 def generate(kind: str, *args) -> Graph:
     """Dispatch on a generator name: cycle, path, grid, complete_tree, random_regular.
 
-    The vertex count the arguments imply is checked against MAX_VERTICES
-    before anything is built.
+    Each generator checks the vertex count its arguments imply against
+    MAX_VERTICES before it builds anything past that bound.
     """
-    if kind not in _GENERATORS:
+    table = {
+        "cycle": cycle,
+        "path": path,
+        "grid": grid,
+        "complete_tree": complete_tree,
+        "random_regular": random_regular,
+    }
+    if kind not in table:
         raise GraphError(f"unknown graph kind {kind!r}")
-    fn, size = _GENERATORS[kind]
-    sig = inspect.signature(fn)
+    sig = inspect.signature(table[kind])
     try:
         sig.bind(*args)
     except TypeError:
         raise GraphError(f"{kind} needs arguments ({', '.join(sig.parameters)}), "
                          f"got {len(args)}") from None
-    _check_size(size(*args), f"{kind}({', '.join(map(str, args))})")
-    return fn(*args)
+    return table[kind](*args)

@@ -122,13 +122,13 @@ def clamped_marginals(G: Graph, beta: float, v: int, clamp: dict):
     arrays need only broadcast together: equal-length arrays give one
     marginal per index, and arrays of length 2 on distinct axes give the
     marginal for every combination. The result has the broadcast shape of
-    the clampings next to v's free component (a scalar when they are all
-    numbers). Only that component, v's component in G minus the clamped
-    set, matters: the rest factors out of the conditional. Tree components
-    use exact message passing, whose arithmetic never mutates its operands,
-    so one clamping runs on plain floats and each message carries only the
-    axes of the clampings below it; other components are enumerated (at
-    most 2^ENUM_LIMIT states).
+    the clampings next to v's free component (a scalar when those are all
+    numbers, or there are none). Only that component, v's component in G
+    minus the clamped set, matters: the rest factors out of the
+    conditional. Tree components use exact message passing, whose
+    arithmetic never mutates its operands, so one clamping runs on plain
+    floats and each message carries only the axes of the clampings below
+    it; other components are enumerated (at most 2^ENUM_LIMIT states).
     """
     comp = _component_of(G, v, clamp)
     comp_set = set(comp)

@@ -1,5 +1,6 @@
 """Graph construction, generators, and distance balls/spheres."""
 
+import time
 from collections import deque
 
 import pytest
@@ -9,6 +10,7 @@ from isingdyn.graph import (
     MAX_VERTICES,
     Graph,
     GraphError,
+    _check_size,
     ball,
     complete_tree,
     cycle,
@@ -176,12 +178,32 @@ class TestGenerators:
         with pytest.raises(GraphError, match="MAX_VERTICES"):
             generate(kind, *args)
 
-    @pytest.mark.parametrize("d,h", [(2, 0), (2, 5), (3, 4), (5, 3)])
-    def test_complete_tree_size_below_bound(self, d, h):
-        assert generate("complete_tree", d, h).n == complete_tree(d, h).n
+    @pytest.mark.parametrize("d,h", [(2, 0), (2, 5), (3, 4), (5, 3), (4, 6)])
+    def test_complete_tree_size(self, d, h):
+        # 1 root, then d * (d-1)^(t-1) vertices at each depth t >= 1
+        n = 1 + sum(d * (d - 1) ** (t - 1) for t in range(1, h + 1))
+        G = complete_tree(d, h)
+        assert G.n == n and len(G.edges) == n - 1
+
+    @pytest.mark.parametrize("d,h", [(3, 19), (2, 2**19)])
+    def test_complete_tree_just_past_bound(self, d, h):
+        # 1 + 3 * (2^19 - 1) and 1 + 2 * 2^19 vertices
+        with pytest.raises(GraphError, match="MAX_VERTICES"):
+            complete_tree(d, h)
 
     def test_bound_is_inclusive(self):
-        assert generate("path", MAX_VERTICES).n == MAX_VERTICES
+        _check_size(MAX_VERTICES, "graph")
+        with pytest.raises(GraphError, match="MAX_VERTICES"):
+            _check_size(MAX_VERTICES + 1, "graph")
+
+    @pytest.mark.parametrize("kind,args,msg", [
+        ("complete_tree", (1, 10**20), "d >= 2"), ("complete_tree", (0, 10**20), "d >= 2"),
+        ("complete_tree", (3, -10**20), "h >= 0"), ("grid", (-2000, -2000), "positive")])
+    def test_argument_checks_come_first(self, kind, args, msg):
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match=msg):
+            generate(kind, *args)
+        assert time.perf_counter() - start < 1
 
 
 class TestGraphInvariants:

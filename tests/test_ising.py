@@ -175,6 +175,22 @@ class TestConditionalMarginal:
             one = conditional_marginal(G, 0.6, v, {u: int(s[c]) for u, s in spins.items()})
             assert batched[c] == pytest.approx(one, abs=1e-12)
 
+    @pytest.mark.parametrize("G,v", [
+        (Graph(n=6, edges=((0, 1), (1, 2), (2, 5), (3, 4))), 0),  # path: tree
+        (Graph(n=6, edges=((0, 1), (1, 2), (0, 2), (2, 5), (3, 4))), 0),  # triangle
+    ], ids=["tree", "enumeration"])
+    def test_arrays_away_from_component_give_scalar(self, G, v):
+        # the result takes the shape of the clampings next to v's component
+        # only; arrays clamping another component do not reach it
+        clamp = {3: np.array([-1, 1, 1]), 4: np.array([1, -1, 1])}
+        out = clamped_marginals(G, 0.6, v, clamp)
+        assert np.shape(out) == ()
+        assert float(out) == pytest.approx(0.5, abs=1e-14)
+        # a number next to the component keeps the result a scalar too
+        out = clamped_marginals(G, 0.6, v, {**clamp, 5: 1})
+        assert np.shape(out) == ()
+        assert float(out) == conditional_marginal(G, 0.6, v, {5: 1}) > 0.5
+
     def test_free_region_limit(self):
         # a 25-vertex grid component is not a tree and exceeds 2^20 states
         with pytest.raises(FeasibilityError, match="exceeds limit"):
