@@ -1,9 +1,9 @@
 """Batch experiment runner and verification driver.
 
-Subcommands: sample | couple | verify | gap | assm. Options may come from
-a JSON config document (--config); explicit command-line flags win over
-config fields. The default seed comes from the ISINGDYN_SEED environment
-variable when neither a flag nor a config supplies one.
+Subcommands: sample | couple | verify | gap | assm, each taking only the
+settings COMMANDS gives it, from flags or a JSON config document (--config)
+that may set no other key; flags win over config fields. The default seed
+comes from ISINGDYN_SEED when neither a flag nor a config supplies one.
 
 Exit codes: 0 success, 1 check failure, 2 invalid input.
 """
@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import click
 import numpy as np
@@ -24,6 +25,7 @@ from . import exact
 from .coupling import coupling_time
 from .dynamics import DynamicsSpec, run_chain
 from .graph import Graph, GraphError, generate, load_edge_list
+from .ising import UP_SET_N_LIMIT
 from .ssm import find_assm_radius
 
 SEED_ENV = "ISINGDYN_SEED"
@@ -50,7 +52,7 @@ def _fail_invalid(msg: str):
 
 
 class Settings:
-    """Merged config-file + flag values, flags taking precedence."""
+    """Merged config-file + flag values, flags winning; config keys must be in `flags`."""
 
     def __init__(self, config_path, flags: dict):
         cfg = {}
@@ -62,6 +64,8 @@ class Settings:
                 _fail_invalid(f"config {config_path}: {exc}")
             if not isinstance(cfg, dict):
                 _fail_invalid(f"config {config_path}: not a JSON object")
+            for key in sorted(set(cfg) - set(flags)):
+                _fail_invalid(f"config {config_path}: this command takes no {key!r}")
         self.values = dict(cfg)
         for k, v in flags.items():
             if v is not None:
@@ -101,21 +105,37 @@ class Settings:
         return self.count("seed", os.environ.get(SEED_ENV) or 0, 0, SEED_MAX)
 
 
-def _common(fn):
-    fn = click.option("--config", type=click.Path(exists=True), default=None,
-                      help="JSON config document; flags override its fields.")(fn)
-    fn = click.option("--graph", "graph", default=None,
-                      help="generator call like cycle(8) or an edge-list path")(fn)
-    fn = click.option("--beta", type=float, default=None)(fn)
-    fn = click.option("--dynamics", default=None,
-                      help='JSON like {"kind": "iv", "censor": [0,1]}')(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--steps", type=int, default=None)(fn)
-    fn = click.option("--seeds", type=int, default=None)(fn)
-    fn = click.option("--eps", type=float, default=None)(fn)
-    fn = click.option("--out", default=None, help="output path (default stdout)")(fn)
-    fn = click.option("--jobs", type=int, default=None)(fn)
-    return fn
+# Every option once, in --help order.
+_OPTIONS = {
+    "jobs": click.option("--jobs", type=int),
+    "out": click.option("--out", help="output path (default stdout)"),
+    "eps": click.option("--eps", type=float),
+    "seeds": click.option("--seeds", type=int),
+    "steps": click.option("--steps", type=int),
+    "seed": click.option("--seed", type=int),
+    "dynamics": click.option("--dynamics",
+                             help='JSON like {"kind": "iv", "censor": [0,1]}'),
+    "beta": click.option("--beta", type=float),
+    "graph": click.option("--graph",
+                          help="generator call like cycle(8) or an edge-list path"),
+    "config": click.option("--config", type=click.Path(exists=True),
+                           help="JSON config document; flags override its fields."),
+    "burnin": click.option("--burnin", type=int),
+    "t_max": click.option("--t-max", type=int),
+    "family": click.option("--family", type=click.Choice(["cycle", "path"])),
+    "sizes": click.option("--sizes", help="comma-separated vertex counts"),
+    "r_max": click.option("--r-max", type=int),
+}
+
+# The settings each command reads, and so the only ones it takes.
+COMMANDS = {
+    "sample": {"config", "graph", "beta", "dynamics", "seed", "steps", "burnin", "out"},
+    "couple": {"config", "graph", "beta", "dynamics", "seed", "seeds", "t_max", "jobs",
+               "out"},
+    "verify": {"config", "graph", "beta", "dynamics", "eps", "out"},
+    "gap": {"config", "beta", "family", "sizes", "out"},
+    "assm": {"config", "graph", "beta", "r_max", "out"},
+}
 
 
 def _open_out(settings):
@@ -133,14 +153,28 @@ def _dynamics_spec(settings) -> DynamicsSpec:
         _fail_invalid(f"bad dynamics spec: {exc}")
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        """Run the subcommand; click's usage errors also exit 2 with one `error:` line."""
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail_invalid(exc.format_message())
+
+
+@click.group(cls=_Main)
 def main():
     """Ising-model chain simulation and exact desk-scale verification."""
 
 
-@main.command()
-@_common
-@click.option("--burnin", type=int, default=None)
+def _command(fn):
+    """Register `fn` as the subcommand of its name, with the options COMMANDS gives it."""
+    for name in reversed([k for k in _OPTIONS if k in COMMANDS[fn.__name__]]):
+        fn = _OPTIONS[name](fn)
+    return main.command()(fn)
+
+
+@_command
 def sample(config, **flags):
     """Run a chain and write one configuration per line (+-1 strings).
 
@@ -159,35 +193,19 @@ def sample(config, **flags):
     burnin = s.count("burnin", 0, 0)
     seed = s.seed()
 
-    lines = []
-    if steps == 0:
-        final, _ = run_chain(G, beta, spec, burnin, seed)
-        lines.append("".join("+" if x > 0 else "-" for x in final))
-    else:
-        _, collected = run_chain(G, beta, spec, burnin + steps, seed,
+    final, collected = run_chain(G, beta, spec, burnin + steps, seed,
                                  collect_every=1, collect_after=burnin)
-        for st in collected:
-            lines.append("".join("+" if x > 0 else "-" for x in st))
+    lines = ["".join("+" if x > 0 else "-" for x in st) for st in collected or [final]]
     with _open_out(s) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _couple_one(args):
-    graph_spec, beta, dyn_json, seed, t_max = args
-    G = parse_graph(graph_spec)
-    spec = DynamicsSpec.from_json(dyn_json)
-    return coupling_time(G, beta, spec, seed, t_max)
-
-
-@main.command()
-@_common
-@click.option("--t-max", type=int, default=None)
+@_command
 def couple(config, **flags):
     """Coalescence times of the all-plus/all-minus coupled pair, as CSV."""
     s = Settings(config, flags)
     try:
-        graph_spec = s.require("graph")
-        G = parse_graph(graph_spec)
+        G = parse_graph(s.require("graph"))
         spec = _dynamics_spec(s)
         spec.validate_for(G)
         if not spec.is_monotone():
@@ -198,18 +216,18 @@ def couple(config, **flags):
     n_seeds = s.count("seeds", 1, 1)
     base_seed = s.seed()
     t_max = s.count("t_max", 10**6, 1)
-    jobs = s.count("jobs", 1, 1)
+    workers = min(s.count("jobs", 1, 1, os.cpu_count() or 1), n_seeds)
 
-    tasks = [(graph_spec, beta, spec.to_json(), base_seed + i, t_max)
-             for i in range(n_seeds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_couple_one, tasks))
+    runs = (repeat(G), repeat(beta), repeat(spec),
+            range(base_seed, base_seed + n_seeds), repeat(t_max))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(coupling_time, *runs))
     else:
-        results = [_couple_one(t) for t in tasks]
+        results = list(map(coupling_time, *runs))
     with _open_out(s) as fh:
         fh.write("seed,n,beta,dynamics,coalescence_step,timeout_flag\n")
-        for r in results:  # tasks submitted in seed order; map preserves it
+        for r in results:  # seeds in order; map preserves it
             fh.write(f"{r.seed},{G.n},{beta},{spec.kind},{r.steps},"
                      f"{int(r.timed_out)}\n")
 
@@ -253,13 +271,13 @@ def _verify_checks(G, beta, spec, eps):
         except ValueError as exc:
             add("decompositions", skipped=str(exc))
 
-    if spec.kind in ("iv", "msw", "block") and G.n <= 4:
+    if spec.kind in ("iv", "msw", "block") and G.n <= UP_SET_N_LIMIT:
         A = spec.censor if spec.censor is not None else frozenset(range(G.n))
         ok = exact.check_censoring_order(G, beta, spec.kind, A,
                                          blocks=spec.blocks)
         add("censoring_order", ok=bool(ok), tolerance=1e-12)
     elif spec.kind in ("iv", "msw", "block"):
-        add("censoring_order", skipped="n > 4")
+        add("censoring_order", skipped=f"n > {UP_SET_N_LIMIT}")
 
     if spec.kind == "iv":
         try:
@@ -281,13 +299,10 @@ def _check_failed(c) -> bool:
         return c["residual"] > c["tolerance"]
     if "ok" in c:
         return not c["ok"]
-    if c.get("timeout"):
-        return True
-    return False
+    return bool(c.get("timeout"))
 
 
-@main.command()
-@_common
+@_command
 def verify(config, **flags):
     """Run the exact check battery; exit 1 iff a check fails or none ran."""
     s = Settings(config, flags)
@@ -313,10 +328,7 @@ def verify(config, **flags):
     sys.exit(1 if report["failed"] else 0)
 
 
-@main.command()
-@_common
-@click.option("--family", type=click.Choice(["cycle", "path"]), default=None)
-@click.option("--sizes", default=None, help="comma-separated vertex counts")
+@_command
 def gap(config, **flags):
     """Spectral gaps of SW and IV across a size sweep, as CSV."""
     s = Settings(config, flags)
@@ -344,9 +356,7 @@ def gap(config, **flags):
             fh.write(",".join(str(x) for x in row) + "\n")
 
 
-@main.command()
-@_common
-@click.option("--r-max", type=int, default=None)
+@_command
 def assm(config, **flags):
     """Search for the smallest radius with total sphere influence <= 1/4."""
     s = Settings(config, flags)

@@ -79,14 +79,6 @@ class DynamicsSpec:
     def is_monotone(self) -> bool:
         return self.kind in ("glauber", "block", "iv", "msw")
 
-    def to_json(self) -> str:
-        obj = {"kind": self.kind}
-        if self.blocks is not None:
-            obj["blocks"] = [sorted(b) for b in self.blocks]
-        if self.censor is not None:
-            obj["censor"] = sorted(self.censor)
-        return json.dumps(obj)
-
     @classmethod
     def from_json(cls, text: str) -> "DynamicsSpec":
         obj = json.loads(text)

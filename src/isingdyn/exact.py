@@ -28,6 +28,7 @@ import numpy as np
 from .dynamics import DynamicsSpec, components
 from .graph import Graph
 from .ising import (
+    UP_SET_N_LIMIT,
     gibbs_exact,
     stochastically_dominates,
     _up_set_indicators,
@@ -319,8 +320,8 @@ class JointSpace:
     proportional to p^|F| (1-p)^|E \\ F|.
     """
 
-    def __init__(self, G: Graph, beta: float, limit: int = M_CLUSTER_LIMIT):
-        if G.m > limit or G.n > N_DIRECT_LIMIT:
+    def __init__(self, G: Graph, beta: float):
+        if G.m > M_OPERATOR_LIMIT or G.n > N_DIRECT_LIMIT:
             raise ValueError("graph too large for joint-space enumeration")
         self.G = G
         self.beta = beta
@@ -403,8 +404,6 @@ class MarkedSpace:
     """
 
     def __init__(self, joint: JointSpace):
-        if joint.G.m > M_OPERATOR_LIMIT:
-            raise ValueError("graph too large for marked-space enumeration")
         self.joint = joint
         self.G = joint.G
         # per F, its component bitmasks in order of their lowest vertex
@@ -475,7 +474,7 @@ class MarkedSpace:
 
 def verify_decompositions(G: Graph, beta: float, A: frozenset | None = None):
     """Entrywise residuals of IV_A = T Q_A T* and MSW_A = T S K_A S* T*."""
-    joint = JointSpace(G, beta, limit=M_OPERATOR_LIMIT)
+    joint = JointSpace(G, beta)
     T = joint.build_T()
     Ts = joint.build_Tstar()
     QA = joint.build_Q(A)
@@ -512,8 +511,8 @@ def censoring_order_holds(P: np.ndarray, PA: np.ndarray, mu: np.ndarray,
 def check_censoring_order(G: Graph, beta: float, family: str, A: frozenset,
                           tol: float = 1e-12, blocks=None) -> bool:
     """True iff the censored kernel dominates in the bilinear-form order."""
-    if G.n > 4:
-        raise ValueError("censoring order check limited to n <= 4")
+    if G.n > UP_SET_N_LIMIT:
+        raise ValueError(f"censoring order check limited to n <= {UP_SET_N_LIMIT}")
     base = transition_matrix(G, beta, DynamicsSpec(family, blocks=blocks))
     cens = transition_matrix(G, beta, DynamicsSpec(family, blocks=blocks, censor=A))
     return censoring_order_holds(base.P, cens.P, base.mu, G.n, tol)
@@ -539,8 +538,8 @@ def censored_dominance(G: Graph, beta: float, spec: DynamicsSpec,
     `schedule` optionally lists censor sets applied in order (defaults to
     the constant-A schedule of length t). Requires nu0/mu increasing.
     """
-    if G.n > 4:
-        raise ValueError("dominance check limited to n <= 4")
+    if G.n > UP_SET_N_LIMIT:
+        raise ValueError(f"dominance check limited to n <= {UP_SET_N_LIMIT}")
     nu0 = np.asarray(nu0, dtype=np.float64)
     base = transition_matrix(G, beta, replace(spec, censor=None))
     if not _ratio_increasing(nu0, base.mu, G.n):

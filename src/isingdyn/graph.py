@@ -30,6 +30,9 @@ __all__ = [
 
 
 MAX_VERTICES = 2**20
+# Pairing-model success per attempt, about exp(-(d^2-1)/4), measured at n <= 20 and 1000:
+# >= 0.0086 at d = 4 (all 2000 attempts fail w.p. < 1e-7), 5e-4 at d = 5 (K6: 19/35 fail).
+MAX_REGULAR_DEGREE = 4
 
 
 class GraphError(ValueError):
@@ -76,6 +79,10 @@ class Graph:
         ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T.copy()
         ends.flags.writeable = False
         object.__setattr__(self, "_ends", (ends[0], ends[1]))
+
+    def __reduce__(self):
+        # rebuilt, so an unpickled graph's endpoint arrays are read-only too
+        return Graph, (self.n, self.edges)
 
     @property
     def m(self) -> int:
@@ -206,30 +213,20 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     """Uniform-ish d-regular graph via the pairing model with rejection."""
     if n * d % 2 != 0:
         raise GraphError("random_regular needs n*d even")
-    if d >= n:
-        raise GraphError("random_regular needs d < n")
+    if not 0 <= d < n:
+        raise GraphError("random_regular needs 0 <= d < n")
+    if d > MAX_REGULAR_DEGREE:
+        raise GraphError(f"random_regular needs d <= {MAX_REGULAR_DEGREE}")
     _check_size(n, f"random_regular({n}, {d}, {seed})")
+    if n * d > MAX_VERTICES:
+        raise GraphError(f"random_regular({n}, {d}, {seed}) has n*d > MAX_VERTICES stubs")
     rng = np.random.default_rng(np.random.SeedSequence((0x5E6, seed)))
     stubs = np.repeat(np.arange(n), d)
     for _ in range(2000):
-        perm = rng.permutation(stubs)
-        pairs = perm.reshape(-1, 2)
-        seen = set()
-        ok = True
-        edges = []
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v:
-                ok = False
-                break
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-            edges.append((u, v))
-        if ok:
-            return Graph(n=n, edges=tuple(sorted((min(u, v), max(u, v)) for u, v in edges)))
+        pairs = np.sort(rng.permutation(stubs).reshape(-1, 2), axis=1)
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        if (pairs[:, 0] != pairs[:, 1]).all() and np.unique(keys).size == keys.size:
+            return Graph(n=n, edges=tuple(sorted(map(tuple, pairs.tolist()))))
     raise GraphError(f"pairing model failed to produce a simple {d}-regular graph")
 
 

@@ -35,6 +35,7 @@ __all__ = [
 
 UPSET_TOL = 1e-10
 ENUM_LIMIT = 20
+UP_SET_N_LIMIT = 4  # enumerate_up_sets scans 2^(2^n) subsets: 65536 at n = 4
 
 
 def beta_c(d: int) -> float:
@@ -266,10 +267,10 @@ def enumerate_up_sets(n: int) -> list[frozenset]:
 
     Returned as frozensets of encoded configurations, including the empty
     set and the full space. Counts follow the Dedekind numbers, hence the
-    n <= 4 bound.
+    n <= UP_SET_N_LIMIT bound.
     """
-    if n > 4:
-        raise ValueError("up-set enumeration limited to n <= 4")
+    if n > UP_SET_N_LIMIT:
+        raise ValueError(f"up-set enumeration limited to n <= {UP_SET_N_LIMIT}")
     size = 1 << n
     codes = range(size)
     # up_mask[x]: bitmask over codes of everything >= x

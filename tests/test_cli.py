@@ -6,6 +6,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from isingdyn import cli
 from isingdyn.cli import _check_failed, main, parse_graph
 
 runner = CliRunner()
@@ -107,12 +108,20 @@ class TestInvalidInput:
         (["sample", "--graph", "grid(3)", "--beta", "0.5"] + IV, {}),
         (["couple", "--graph", "random_regular(8,3)", "--beta", "0.5"] + IV, {}),
         (["assm", "--graph", "grid(3)", "--beta", "0.5"], {}),
+        (["sample", "--graph", "cycle(4)", "--beta", "0.5", "--seed", "abc"] + IV, {}),
+        (["gap", "--beta", "0.3", "--family", "grid", "--sizes", "4"], {}),
+        (["sample", "--graph", "cycle(4)", "--beta", "0.5", "--format", "csv"] + IV, {}),
+        (["sample", "--graph", "random_regular(1000,999,1)", "--beta", "0.5"] + IV, {}),
+        (["sample", "--graph", "random_regular(2000,1999,1)", "--beta", "0.5"] + IV, {}),
     ], ids=["negative-seed", "negative-seed-couple", "env-seed-abc", "gap-size-11",
             "beta-nan", "beta-negative", "t-max-0", "seeds-0", "eps-0",
             "dynamics-not-object", "censored-glauber", "grid-one-arg",
-            "random-regular-two-args", "assm-grid-one-arg"])
+            "random-regular-two-args", "assm-grid-one-arg", "seed-abc",
+            "gap-family-grid", "format-csv", "random-regular-999", "random-regular-1999"])
     def test_exit2_one_line(self, argv, env):
+        start = time.perf_counter()
         res = runner.invoke(main, argv, env=env)
+        assert time.perf_counter() - start < 5
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
         lines = res.stderr.strip().splitlines()
@@ -160,6 +169,73 @@ class TestInvalidInput:
         res = runner.invoke(main, ["sample", "--graph", "cycle(4)", "--beta", "0.5",
                                    "--format", "csv"] + IV)
         assert res.exit_code == 2 and "No such option" in res.output
+
+
+# Valid invocations, each of which a removed flag or config key makes invalid.
+VALID = {
+    "sample": ["--graph", "cycle(4)", "--beta", "0.5", "--steps", "2"] + IV,
+    "couple": ["--graph", "cycle(4)", "--beta", "0.5"] + IV,
+    "verify": ["--graph", "path(2)", "--beta", "0.5"] + IV,
+    "gap": ["--beta", "0.3", "--sizes", "4"],
+    "assm": ["--graph", "cycle(4)", "--beta", "0.5", "--r-max", "1"],
+}
+# Flags of other commands that a command does not read, so does not take: 22 in all.
+REMOVED = {
+    "sample": ["--seeds", "--eps", "--jobs"],
+    "couple": ["--steps", "--eps"],
+    "verify": ["--seed", "--steps", "--seeds", "--jobs"],
+    "gap": ["--graph", "--dynamics", "--seed", "--steps", "--seeds", "--eps", "--jobs"],
+    "assm": ["--dynamics", "--seed", "--steps", "--seeds", "--eps", "--jobs"],
+}
+FLAG_VALUE = {"--seeds": "2", "--eps": "0.25", "--jobs": "1", "--steps": "3",
+              "--seed": "7", "--graph": "cycle(9)", "--dynamics": '{"kind": "msw"}'}
+# Each command's options: 33 in all.
+HELP = {
+    "sample": {"--config", "--graph", "--beta", "--dynamics", "--seed", "--steps",
+               "--burnin", "--out"},
+    "couple": {"--config", "--graph", "--beta", "--dynamics", "--seed", "--seeds",
+               "--t-max", "--jobs", "--out"},
+    "verify": {"--config", "--graph", "--beta", "--dynamics", "--eps", "--out"},
+    "gap": {"--config", "--beta", "--family", "--sizes", "--out"},
+    "assm": {"--config", "--graph", "--beta", "--r-max", "--out"},
+}
+
+
+class TestOwnSettingsOnly:
+    """Each command takes exactly the settings it reads."""
+
+    def _one_error_line(self, res):
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        return lines[0]
+
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_valid_invocation_passes(self, command):
+        assert runner.invoke(main, [command] + VALID[command]).exit_code == 0
+
+    @pytest.mark.parametrize("command,flag", [(c, f) for c, flags in REMOVED.items()
+                                              for f in flags])
+    def test_removed_flag_rejected(self, command, flag):
+        res = runner.invoke(main, [command] + VALID[command] + [flag, FLAG_VALUE[flag]])
+        assert "No such option" in self._one_error_line(res)
+
+    @pytest.mark.parametrize("command,key", [("sample", "step"), ("sample", "seeed"),
+                                             ("sample", "seeds"), ("couple", "steps"),
+                                             ("gap", "graph"), ("assm", "config")])
+    def test_foreign_config_key_rejected(self, tmp_path, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 5}))
+        res = runner.invoke(main, [command, "--config", str(cfg)] + VALID[command])
+        assert repr(key) in self._one_error_line(res)
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_lists_exactly_own_options(self, command):
+        res = runner.invoke(main, [command, "--help"])
+        assert res.exit_code == 0
+        listed = {line.split()[0] for line in res.output.splitlines()
+                  if line.startswith("  --")}
+        assert listed == HELP[command] | {"--help"}
 
 
 class TestExplicitValues:
@@ -220,6 +296,53 @@ class TestCouple:
         serial = runner.invoke(main, args)
         parallel = runner.invoke(main, args + ["--jobs", "2"])
         assert serial.output == parallel.output
+
+    def test_graph_built_once(self, monkeypatch):
+        calls = []
+        real = cli.generate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "generate", counted)
+        res = runner.invoke(main, ["couple", "--graph", "cycle(8)", "--beta", "0.3",
+                                   "--seeds", "5"] + IV)
+        assert res.exit_code == 0 and len(res.output.splitlines()) == 6
+        assert calls == [("cycle", 8)]
+
+    @pytest.mark.parametrize("jobs,seeds,workers", [("3", "2", 2), ("4", "5", 4),
+                                                    ("2", "1", None), ("5", "5", "exit 2")])
+    def test_jobs_bounded(self, monkeypatch, jobs, seeds, workers):
+        started = []
+
+        class RecordingPool:
+            """Records its worker count and runs the map in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        args = ["couple", "--graph", "cycle(8)", "--beta", "0.3", "--seeds", seeds] + IV
+        res = runner.invoke(main, args + ["--jobs", jobs])
+        if workers == "exit 2":
+            assert res.exit_code == 2 and started == []
+            assert res.stderr.splitlines() == ["error: jobs must be an integer in [1, 4], "
+                                               "got 5"]
+            return
+        assert res.exit_code == 0
+        assert started == ([] if workers is None else [workers])
+        assert res.output == runner.invoke(main, args).output
 
 
 class TestVerify:

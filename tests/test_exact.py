@@ -11,6 +11,7 @@ import pytest
 from isingdyn.dynamics import DynamicsSpec
 from isingdyn.exact import (
     M_CLUSTER_LIMIT,
+    M_OPERATOR_LIMIT,
     N_DIRECT_LIMIT,
     JointSpace,
     MarkedSpace,
@@ -497,6 +498,11 @@ class TestJointSpace:
                 assert p == 0.0
         live = [p for (F, x), p in zip(js.states, js.nu) if F == 0]
         assert np.allclose(live, 0.25)
+
+    def test_edge_limit(self):
+        JointSpace(path(M_OPERATOR_LIMIT + 1), 0.3)
+        with pytest.raises(ValueError, match="joint-space"):
+            JointSpace(cycle(M_OPERATOR_LIMIT + 1), 0.3)
 
     def test_T_rows_and_Tstar_entries(self):
         js = JointSpace(EDGE, 0.5)

@@ -1,12 +1,15 @@
 """Graph construction, generators, and distance balls/spheres."""
 
+import pickle
 import time
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from isingdyn.graph import (
+    MAX_REGULAR_DEGREE,
     MAX_VERTICES,
     Graph,
     GraphError,
@@ -21,6 +24,31 @@ from isingdyn.graph import (
     random_regular,
     sphere,
 )
+
+
+def loop_random_regular(n, d, seed):
+    """The pairing model checked pair by pair: the reference for random_regular."""
+    rng = np.random.default_rng(np.random.SeedSequence((0x5E6, seed)))
+    stubs = np.repeat(np.arange(n), d)
+    for _ in range(2000):
+        perm = rng.permutation(stubs)
+        pairs = perm.reshape(-1, 2)
+        seen = set()
+        ok = True
+        edges = []
+        for u, v in pairs:
+            u, v = int(u), int(v)
+            if u == v:
+                ok = False
+                break
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                ok = False
+                break
+            seen.add(key)
+            edges.append((u, v))
+        if ok:
+            return tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
 
 
 def bfs_oracle(G, v):
@@ -155,6 +183,23 @@ class TestGenerators:
         with pytest.raises(GraphError, match="even"):
             random_regular(5, 3, seed=0)
 
+    @pytest.mark.parametrize("n,d,seeds", [(8, 3, range(20)), (1024, 3, range(3)),
+                                           (5, 4, range(5)), (20, 4, range(5)),
+                                           (10, 0, range(2))])
+    def test_random_regular_matches_loop(self, n, d, seeds):
+        for seed in seeds:
+            assert random_regular(n, d, seed).edges == loop_random_regular(n, d, seed)
+
+    @pytest.mark.parametrize("n,d,msg", [
+        (1000, 999, "d <= 4"), (2000, 1999, "d <= 4"),
+        (10, MAX_REGULAR_DEGREE + 1, f"d <= {MAX_REGULAR_DEGREE}"),
+        (MAX_VERTICES // 3 + 1, 3, "n\\*d > MAX_VERTICES stubs"), (4, -2, "0 <= d < n")])
+    def test_random_regular_work_bound(self, n, d, msg):
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match=msg):
+            random_regular(n, d, 1)
+        assert time.perf_counter() - start < 1
+
     def test_deterministic(self):
         assert random_regular(10, 3, seed=4).edges == random_regular(10, 3, seed=4).edges
         assert generate("cycle", 7).edges == cycle(7).edges
@@ -233,3 +278,12 @@ class TestGraphInvariants:
         assert G == cycle(5) and hash(G) == hash(cycle(5))
         u0, w0 = Graph(n=1, edges=()).endpoint_arrays()
         assert u0.shape == w0.shape == (0,) and not u0.flags.writeable
+
+    def test_pickle_keeps_endpoint_arrays_read_only(self):
+        G = random_regular(8, 3, seed=1)
+        back = pickle.loads(pickle.dumps(G))
+        assert back == G and back.adjacency == G.adjacency
+        assert back.max_degree == G.max_degree
+        u, w = back.endpoint_arrays()
+        assert not u.flags.writeable and not w.flags.writeable
+        assert [u.tolist(), w.tolist()] == [x.tolist() for x in G.endpoint_arrays()]
