@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
 import click
+from click.exceptions import NoArgsIsHelpError
 import numpy as np
 
 from . import exact
@@ -154,8 +155,18 @@ def _dynamics_spec(settings) -> DynamicsSpec:
 
 
 class _Main(click.Group):
+    """Click's usage errors, the group's own options included, exit 2 with one
+    `error:` line; with no arguments at all the help screen stays."""
+
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except NoArgsIsHelpError:
+            raise
+        except click.UsageError as exc:
+            _fail_invalid(exc.format_message())
+
     def invoke(self, ctx):
-        """Run the subcommand; click's usage errors also exit 2 with one `error:` line."""
         try:
             return super().invoke(ctx)
         except click.UsageError as exc:

@@ -3,8 +3,8 @@ and marked-space operator decompositions with the censoring order.
 
 Everything here enumerates the full configuration space, so sizes are
 capped: n <= 10 vertices for direct kernels, |E| <= 14 for the cluster
-kernels (which sum over edge subsets), and |E| <= 6 for materialized
-operator matrices on the joint spaces.
+kernels (which sum over edge subsets), and MAX_OPERATOR_STATES states
+for the materialized joint- and marked-space operators.
 
 The SW, IV and MSW kernels come from the Edwards-Sokal joint measure:
 P(sigma, sigma xor D) = sum_F A(sigma,F) G(F,D), where the percolation
@@ -52,7 +52,7 @@ __all__ = [
 
 N_DIRECT_LIMIT = 10
 M_CLUSTER_LIMIT = 14
-M_OPERATOR_LIMIT = 6
+MAX_OPERATOR_STATES = 1 << 14
 REV_TOL = 1e-9
 F_CHUNK = 1024
 ROW_BLOCK = 128
@@ -310,178 +310,143 @@ def dirichlet_form(P: np.ndarray, mu: np.ndarray, f, g) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Joint (edge subset, spin) space and the T/Q operators
+# Joint (edge subset, spin) and marked spaces, and the T/Q/S/K operators
+
+
+def _check_states(space: str, count: int):
+    if count > MAX_OPERATOR_STATES:
+        raise ValueError(f"{space} space has {count} states, more than "
+                         f"MAX_OPERATOR_STATES = {MAX_OPERATOR_STATES}")
+
+
+def _recolour(block, x, free, k) -> np.ndarray:
+    """R[i, j] = 2^-k[i] when states i and j share a block and their
+    configurations differ only inside free[i], else 0.
+
+    free[i] is a union of k[i] whole clusters, which R recolours
+    uniformly, keeping everything else: the targets are the states of
+    the block. k is their own count, so an extra target breaks R @ R = R.
+    """
+    index = np.full((block.max() + 1, x.max() + 1), -1)
+    index[block, x] = np.arange(x.size)
+    i, s = np.nonzero((np.arange(free.max() + 1) & ~free[:, None]) == 0)
+    j = index[block[i], x[i] & ~free[i] | s]  # -1 where no state has that configuration
+    R = np.zeros((x.size, x.size))
+    R[i[j >= 0], j[j >= 0]] = np.ldexp(1.0, -k[i[j >= 0]].astype(np.int64))
+    return R
 
 
 class JointSpace:
     """The support of the joint edge-spin measure, with T, T*, Q_A.
 
-    States are pairs (F, sigma) with F inside E(sigma); nu(F, sigma) is
-    proportional to p^|F| (1-p)^|E \\ F|.
+    States are the pairs (F[i], x[i]) with F inside E(x), ordered by
+    (F, x); nu(F, x) is proportional to p^|F| (1-p)^|E \\ F|.
     """
 
     def __init__(self, G: Graph, beta: float):
-        if G.m > M_OPERATOR_LIMIT or G.n > N_DIRECT_LIMIT:
+        if G.n > N_DIRECT_LIMIT:
             raise ValueError("graph too large for joint-space enumeration")
-        self.G = G
-        self.beta = beta
-        self.p = 1.0 - math.exp(-2.0 * beta)
         emasks = _edge_masks(G)
-        self.states: list[tuple[int, int]] = []
-        for x in range(1 << G.n):
-            em = int(emasks[x])
-            F = em
-            while True:
-                self.states.append((F, x))
-                if F == 0:
-                    break
-                F = (F - 1) & em
-        self.states.sort()
-        self.index = {s: i for i, s in enumerate(self.states)}
-        w = np.array([
-            (self.p ** bin(F).count("1"))
-            * ((1.0 - self.p) ** (G.m - bin(F).count("1")))
-            for F, _ in self.states
-        ])
-        self.nu = w / w.sum()
-        self.emasks = emasks
+        _check_states("joint", sum(1 << int(e) for e in np.bitwise_count(emasks)))
+        self.G, self.beta = G, beta
+        self.p = 1.0 - math.exp(-2.0 * beta)
+        self.F, self.x = np.nonzero((np.arange(1 << G.m)[:, None] & ~emasks) == 0)
+        self.cm = _subgraph_components(G)[self.F]  # cm[i, v]: v's component in (V, F[i])
+        q = 1.0 - self.p
+        w = np.array([[self.p ** f * q ** abs(e - f) for f in range(G.m + 1)]
+                      for e in range(G.m + 1)])  # w[e, f] = p^f q^(e-f), f <= e
+        nf = np.bitwise_count(self.F)
+        self._lift = w[np.bitwise_count(emasks)[self.x], nf]
+        self.nu = w[G.m, nf] / w[G.m, nf].sum()
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.x.size
 
     def build_T(self) -> np.ndarray:
         """T(sigma,(F,tau)): percolation lift; rows sum to 1."""
         T = np.zeros((1 << self.G.n, self.size))
-        p, q = self.p, 1.0 - self.p
-        for i, (F, x) in enumerate(self.states):
-            em = int(self.emasks[x])
-            nf = bin(F).count("1")
-            T[x, i] = (p ** nf) * (q ** (bin(em).count("1") - nf))
+        T[self.x, np.arange(self.size)] = self._lift
         return T
 
     def build_Tstar(self) -> np.ndarray:
         """T*((F,tau),sigma) = 1(tau = sigma): drop the edge subset."""
         Ts = np.zeros((self.size, 1 << self.G.n))
-        for i, (_, x) in enumerate(self.states):
-            Ts[i, x] = 1.0
+        Ts[np.arange(self.size), self.x] = 1.0
         return Ts
-
-    def isolated_mask(self, F: int, A: frozenset | None) -> int:
-        """Bitmask of isolated vertices of (V,F) lying in A."""
-        inc = 0
-        for j, (u, w) in enumerate(self.G.edges):
-            if (F >> j) & 1:
-                inc |= (1 << u) | (1 << w)
-        return ~inc & _vertex_mask(A, self.G.n)
 
     def build_Q(self, A: frozenset | None = None) -> np.ndarray:
         """Q_A: resample the isolated vertices in A, keep F and the rest."""
-        Q = np.zeros((self.size, self.size))
-        for i, (F, x) in enumerate(self.states):
-            iso = self.isolated_mask(F, A)
-            k = bin(iso).count("1")
-            base = 2.0 ** (-k)
-            fixed = x & ~iso
-            # iterate assignments on the isolated set
-            sub = iso
-            while True:
-                j = self.index.get((F, fixed | sub))
-                if j is not None:
-                    Q[i, j] = base
-                if sub == 0:
-                    break
-                sub = (sub - 1) & iso
-        return Q
+        bit = 1 << np.arange(self.G.n)
+        iso = ((self.cm == bit) @ bit) & _vertex_mask(A, self.G.n)
+        return _recolour(self.F, self.x, iso, np.bitwise_count(iso))
 
 
 class MarkedSpace:
-    """Triples (F, sigma, marked components) over a JointSpace, with S, K_A.
+    """Triples (F, x, marked components) over a JointSpace, with S, K_A.
 
-    All subsets of components are enumerated, including zero-measure ones
-    (an unmarked singleton has marking weight 0); measure-weighted checks
-    are unaffected and K_A keeps F and the marking fixed.
+    A marking is the union M of the marked components of F, so state i
+    pairs the joint states marking[i] = (F, M) and joint_index[i] = (F, x).
+    States are ordered by (F, M, x), so each block of K_A is contiguous.
+    All markings are enumerated, including zero-measure ones (an unmarked
+    singleton has marking weight 0); measure-weighted checks are
+    unaffected and K_A keeps F and M fixed.
     """
 
     def __init__(self, joint: JointSpace):
-        self.joint = joint
-        self.G = joint.G
-        # per F, its component bitmasks in order of their lowest vertex
-        comps = [list(dict.fromkeys(row))
-                 for row in _subgraph_components(self.G).tolist()]
-        self.states: list[tuple[int, int, frozenset]] = []
-        for F, x in joint.states:
-            cms = comps[F]
-            for marks in range(1 << len(cms)):
-                marked = frozenset(cms[j] for j in range(len(cms))
-                                   if (marks >> j) & 1)
-                self.states.append((F, x, marked))
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.comps = comps
+        self.joint, self.G = joint, joint.G
+        bit = 1 << np.arange(self.G.n)
+        lead = (joint.cm & (bit - 1)) == 0  # each component at its lowest vertex
+        _check_states("marked", int(np.sum(1 << lead.sum(axis=1))))
+        self.marking, self.joint_index = np.nonzero(joint.F[:, None] == joint.F)
+        self.F, self.x = joint.F[self.joint_index], joint.x[self.joint_index]
+        self.M = joint.x[self.marking]
+        # per joint state (F, M): the chance that S marks exactly M
+        q = np.ldexp(1.0, 1 - np.bitwise_count(joint.cm).astype(np.int64))
+        marked = (joint.cm & ~joint.x[:, None]) == 0
+        self._weight = np.where(lead, np.where(marked, q, 1.0 - q), 1.0).prod(axis=1)
+        self._lead = lead @ bit
 
     @property
     def size(self) -> int:
-        return len(self.states)
-
-    @staticmethod
-    def _mark_weight(comp_masks, marked) -> float:
-        w = 1.0
-        for cm in comp_masks:
-            q = 2.0 ** (1 - bin(cm).count("1"))
-            w *= q if cm in marked else 1.0 - q
-        return w
+        return self.x.size
 
     def nu_m(self) -> np.ndarray:
-        out = np.zeros(self.size)
-        for i, (F, x, marked) in enumerate(self.states):
-            j = self.joint.index[(F, x)]
-            out[i] = self.joint.nu[j] * self._mark_weight(self.comps[F], marked)
-        return out
+        return self.joint.nu[self.joint_index] * self._weight[self.marking]
 
     def build_S(self) -> np.ndarray:
         """S: mark each component independently with prob 2^-(|C|-1)."""
         S = np.zeros((self.joint.size, self.size))
-        for i, (F, x, marked) in enumerate(self.states):
-            j = self.joint.index[(F, x)]
-            S[j, i] = self._mark_weight(self.comps[F], marked)
+        S[self.joint_index, np.arange(self.size)] = self._weight[self.marking]
         return S
 
     def build_Sstar(self) -> np.ndarray:
         """S*: drop all marks."""
         Ss = np.zeros((self.size, self.joint.size))
-        for i, (F, x, _) in enumerate(self.states):
-            Ss[i, self.joint.index[(F, x)]] = 1.0
+        Ss[np.arange(self.size), self.joint_index] = 1.0
         return Ss
 
     def build_K(self, A: frozenset | None = None) -> np.ndarray:
         """K_A: uniformly recolor every marked component contained in A."""
-        amask = _vertex_mask(A, self.G.n)
-        K = np.zeros((self.size, self.size))
-        for i, (F, x, marked) in enumerate(self.states):
-            active = [cm for cm in marked if (cm & ~amask) == 0]
-            base = 2.0 ** (-len(active))
-            fixed = x
-            for cm in active:
-                fixed &= ~cm
-            for assign in range(1 << len(active)):
-                tau = fixed
-                for j, cm in enumerate(active):
-                    if (assign >> j) & 1:
-                        tau |= cm
-                K[i, self.index[(F, tau, marked)]] += base
-        return K
+        cm, mask = self.joint.cm, self.joint.x & _vertex_mask(A, self.G.n)
+        free = ((cm & ~mask[:, None]) == 0) @ (1 << np.arange(self.G.n))
+        free, k = free[self.marking], np.bitwise_count(free & self._lead)[self.marking]
+        return _recolour(self.marking, self.x, free, k)
 
 
 def verify_decompositions(G: Graph, beta: float, A: frozenset | None = None):
-    """Entrywise residuals of IV_A = T Q_A T* and MSW_A = T S K_A S* T*."""
+    """Entrywise residuals of IV_A = T Q_A T* and MSW_A = T S K_A S* T*.
+
+    Both spaces are built (and their sizes checked) before any operator.
+    """
     joint = JointSpace(G, beta)
+    ms = MarkedSpace(joint)
     T = joint.build_T()
     Ts = joint.build_Tstar()
     QA = joint.build_Q(A)
     iv = transition_matrix(G, beta, DynamicsSpec("iv", censor=A)).P
     iv_resid = float(np.max(np.abs(iv - T @ QA @ Ts)))
 
-    ms = MarkedSpace(joint)
     S = ms.build_S()
     Ss = ms.build_Sstar()
     KA = ms.build_K(A)

@@ -113,11 +113,13 @@ class TestInvalidInput:
         (["sample", "--graph", "cycle(4)", "--beta", "0.5", "--format", "csv"] + IV, {}),
         (["sample", "--graph", "random_regular(1000,999,1)", "--beta", "0.5"] + IV, {}),
         (["sample", "--graph", "random_regular(2000,1999,1)", "--beta", "0.5"] + IV, {}),
+        (["--bogus"], {}),
     ], ids=["negative-seed", "negative-seed-couple", "env-seed-abc", "gap-size-11",
             "beta-nan", "beta-negative", "t-max-0", "seeds-0", "eps-0",
             "dynamics-not-object", "censored-glauber", "grid-one-arg",
             "random-regular-two-args", "assm-grid-one-arg", "seed-abc",
-            "gap-family-grid", "format-csv", "random-regular-999", "random-regular-1999"])
+            "gap-family-grid", "format-csv", "random-regular-999", "random-regular-1999",
+            "group-option"])
     def test_exit2_one_line(self, argv, env):
         start = time.perf_counter()
         res = runner.invoke(main, argv, env=env)
@@ -164,6 +166,12 @@ class TestInvalidInput:
                                    "dynamics": {"kind": "iv"}, "t_max": 2.5}))
         res = runner.invoke(main, ["couple", "--config", str(cfg)])
         assert res.exit_code == 2 and "t_max" in res.stderr
+
+    def test_no_arguments_show_help(self):
+        # only options become one-line errors: a bare call keeps click's help screen
+        bare, full = runner.invoke(main, []), runner.invoke(main, ["--help"])
+        assert bare.exit_code == 2 and full.exit_code == 0
+        assert bare.stderr == full.stdout and full.stdout.startswith("Usage: ")
 
     def test_format_option_removed(self):
         res = runner.invoke(main, ["sample", "--graph", "cycle(4)", "--beta", "0.5",
@@ -373,6 +381,22 @@ class TestVerify:
         report = json.loads(res.output)
         skipped = [c for c in report["checks"] if "skipped" in c]
         assert any(c["check"] == "censoring_order" for c in skipped)
+
+    @pytest.mark.parametrize("graph,kind", [("path(7)", "iv"), ("path(7)", "msw"),
+                                            ("file", "iv")],
+                             ids=["path7-iv", "path7-msw", "edge-list-0-9"])
+    def test_marked_space_past_state_bound_skipped(self, tmp_path, graph, kind):
+        # 62500 and 1310720 marked states: refused before any operator is built
+        if graph == "file":
+            graph = tmp_path / "g.txt"
+            graph.write_text("0 9\n")
+        start = time.perf_counter()
+        res = runner.invoke(main, ["verify", "--graph", str(graph), "--beta", "0.3",
+                                   "--dynamics", json.dumps({"kind": kind})])
+        assert time.perf_counter() - start < 5
+        assert res.exit_code == 0 and res.exception is None and res.stderr == ""
+        (c,) = [c for c in json.loads(res.stdout)["checks"] if c["check"] == "decompositions"]
+        assert c["skipped"].startswith("marked space has ")
 
     def test_nothing_verified_exits_1(self):
         res = runner.invoke(main, ["verify", "--graph", "cycle(11)",

@@ -11,7 +11,6 @@ import pytest
 from isingdyn.dynamics import DynamicsSpec
 from isingdyn.exact import (
     M_CLUSTER_LIMIT,
-    M_OPERATOR_LIMIT,
     N_DIRECT_LIMIT,
     JointSpace,
     MarkedSpace,
@@ -475,6 +474,172 @@ class TestDirichletForm:
         assert abs(inner - dirichlet_form(tm.P, tm.mu, f, g)) <= 1e-10
 
 
+# ---------------------------------------------------------------------------
+# The per-state loop construction of the joint and marked spaces that the
+# library used before its index-array rewrite, kept as an independent oracle.
+
+M_OPERATOR_LIMIT = 6
+
+
+class LoopJointSpace:
+    """The support of the joint edge-spin measure, with T, T*, Q_A.
+
+    States are pairs (F, sigma) with F inside E(sigma); nu(F, sigma) is
+    proportional to p^|F| (1-p)^|E \\ F|.
+    """
+
+    def __init__(self, G: Graph, beta: float):
+        if G.m > M_OPERATOR_LIMIT or G.n > N_DIRECT_LIMIT:
+            raise ValueError("graph too large for joint-space enumeration")
+        self.G = G
+        self.beta = beta
+        self.p = 1.0 - math.exp(-2.0 * beta)
+        emasks = _edge_masks(G)
+        self.states: list[tuple[int, int]] = []
+        for x in range(1 << G.n):
+            em = int(emasks[x])
+            F = em
+            while True:
+                self.states.append((F, x))
+                if F == 0:
+                    break
+                F = (F - 1) & em
+        self.states.sort()
+        self.index = {s: i for i, s in enumerate(self.states)}
+        w = np.array([
+            (self.p ** bin(F).count("1"))
+            * ((1.0 - self.p) ** (G.m - bin(F).count("1")))
+            for F, _ in self.states
+        ])
+        self.nu = w / w.sum()
+        self.emasks = emasks
+
+    @property
+    def size(self) -> int:
+        return len(self.states)
+
+    def build_T(self) -> np.ndarray:
+        """T(sigma,(F,tau)): percolation lift; rows sum to 1."""
+        T = np.zeros((1 << self.G.n, self.size))
+        p, q = self.p, 1.0 - self.p
+        for i, (F, x) in enumerate(self.states):
+            em = int(self.emasks[x])
+            nf = bin(F).count("1")
+            T[x, i] = (p ** nf) * (q ** (bin(em).count("1") - nf))
+        return T
+
+    def build_Tstar(self) -> np.ndarray:
+        """T*((F,tau),sigma) = 1(tau = sigma): drop the edge subset."""
+        Ts = np.zeros((self.size, 1 << self.G.n))
+        for i, (_, x) in enumerate(self.states):
+            Ts[i, x] = 1.0
+        return Ts
+
+    def isolated_mask(self, F: int, A: frozenset | None) -> int:
+        """Bitmask of isolated vertices of (V,F) lying in A."""
+        inc = 0
+        for j, (u, w) in enumerate(self.G.edges):
+            if (F >> j) & 1:
+                inc |= (1 << u) | (1 << w)
+        return ~inc & _vertex_mask(A, self.G.n)
+
+    def build_Q(self, A: frozenset | None = None) -> np.ndarray:
+        """Q_A: resample the isolated vertices in A, keep F and the rest."""
+        Q = np.zeros((self.size, self.size))
+        for i, (F, x) in enumerate(self.states):
+            iso = self.isolated_mask(F, A)
+            k = bin(iso).count("1")
+            base = 2.0 ** (-k)
+            fixed = x & ~iso
+            # iterate assignments on the isolated set
+            sub = iso
+            while True:
+                j = self.index.get((F, fixed | sub))
+                if j is not None:
+                    Q[i, j] = base
+                if sub == 0:
+                    break
+                sub = (sub - 1) & iso
+        return Q
+
+
+class LoopMarkedSpace:
+    """Triples (F, sigma, marked components) over a JointSpace, with S, K_A.
+
+    All subsets of components are enumerated, including zero-measure ones
+    (an unmarked singleton has marking weight 0); measure-weighted checks
+    are unaffected and K_A keeps F and the marking fixed.
+    """
+
+    def __init__(self, joint: LoopJointSpace):
+        self.joint = joint
+        self.G = joint.G
+        # per F, its component bitmasks in order of their lowest vertex
+        comps = [list(dict.fromkeys(row))
+                 for row in _subgraph_components(self.G).tolist()]
+        self.states: list[tuple[int, int, frozenset]] = []
+        for F, x in joint.states:
+            cms = comps[F]
+            for marks in range(1 << len(cms)):
+                marked = frozenset(cms[j] for j in range(len(cms))
+                                   if (marks >> j) & 1)
+                self.states.append((F, x, marked))
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.comps = comps
+
+    @property
+    def size(self) -> int:
+        return len(self.states)
+
+    @staticmethod
+    def _mark_weight(comp_masks, marked) -> float:
+        w = 1.0
+        for cm in comp_masks:
+            q = 2.0 ** (1 - bin(cm).count("1"))
+            w *= q if cm in marked else 1.0 - q
+        return w
+
+    def nu_m(self) -> np.ndarray:
+        out = np.zeros(self.size)
+        for i, (F, x, marked) in enumerate(self.states):
+            j = self.joint.index[(F, x)]
+            out[i] = self.joint.nu[j] * self._mark_weight(self.comps[F], marked)
+        return out
+
+    def build_S(self) -> np.ndarray:
+        """S: mark each component independently with prob 2^-(|C|-1)."""
+        S = np.zeros((self.joint.size, self.size))
+        for i, (F, x, marked) in enumerate(self.states):
+            j = self.joint.index[(F, x)]
+            S[j, i] = self._mark_weight(self.comps[F], marked)
+        return S
+
+    def build_Sstar(self) -> np.ndarray:
+        """S*: drop all marks."""
+        Ss = np.zeros((self.size, self.joint.size))
+        for i, (F, x, _) in enumerate(self.states):
+            Ss[i, self.joint.index[(F, x)]] = 1.0
+        return Ss
+
+    def build_K(self, A: frozenset | None = None) -> np.ndarray:
+        """K_A: uniformly recolor every marked component contained in A."""
+        amask = _vertex_mask(A, self.G.n)
+        K = np.zeros((self.size, self.size))
+        for i, (F, x, marked) in enumerate(self.states):
+            active = [cm for cm in marked if (cm & ~amask) == 0]
+            base = 2.0 ** (-len(active))
+            fixed = x
+            for cm in active:
+                fixed &= ~cm
+            for assign in range(1 << len(active)):
+                tau = fixed
+                for j, cm in enumerate(active):
+                    if (assign >> j) & 1:
+                        tau |= cm
+                K[i, self.index[(F, tau, marked)]] += base
+        return K
+
+
 class TestJointSpace:
     def test_marginalization(self):
         for G in (EDGE, path(3)):
@@ -482,27 +647,29 @@ class TestJointSpace:
             js = JointSpace(G, beta)
             mu = gibbs_exact(G, beta).probs
             marg = np.zeros(1 << G.n)
-            for (F, x), p in zip(js.states, js.nu):
-                marg[x] += p
+            np.add.at(marg, js.x, js.nu)
             assert np.max(np.abs(marg - mu)) <= 1e-12
 
     def test_support_constraint(self):
-        js = JointSpace(path(3), 0.5)
-        for F, x in js.states:
-            assert F & ~int(js.emasks[x]) == 0
+        G = path(3)
+        js = JointSpace(G, 0.5)
+        assert np.all(js.F & ~_edge_masks(G)[js.x] == 0)
+        assert js.size == sum(1 << bin(int(e)).count("1") for e in _edge_masks(G))
 
     def test_beta0_supported_on_empty_F(self):
         js = JointSpace(EDGE, 0.0)
-        for (F, x), p in zip(js.states, js.nu):
-            if F != 0:
-                assert p == 0.0
-        live = [p for (F, x), p in zip(js.states, js.nu) if F == 0]
-        assert np.allclose(live, 0.25)
+        assert np.all(js.nu[js.F != 0] == 0.0)
+        assert np.allclose(js.nu[js.F == 0], 0.25)
 
     def test_edge_limit(self):
-        JointSpace(path(M_OPERATOR_LIMIT + 1), 0.3)
-        with pytest.raises(ValueError, match="joint-space"):
-            JointSpace(cycle(M_OPERATOR_LIMIT + 1), 0.3)
+        # the bound is on states: cycle(7) (m = 7) has a 2188-state joint
+        # space, and its 78128 marked states are refused
+        js = JointSpace(cycle(7), 0.3)
+        assert js.size == 2188
+        with pytest.raises(ValueError, match="marked space has 78128 states"):
+            MarkedSpace(js)
+        with pytest.raises(ValueError, match="joint space has 19684 states"):
+            JointSpace(cycle(9), 0.3)
 
     def test_T_rows_and_Tstar_entries(self):
         js = JointSpace(EDGE, 0.5)
@@ -545,17 +712,17 @@ class TestMarkedSpace:
         ms = MarkedSpace(js)
         nu_m = ms.nu_m()
         marg = np.zeros(js.size)
-        for (F, x, marked), p in zip(ms.states, nu_m):
-            marg[js.index[(F, x)]] += p
+        np.add.at(marg, ms.joint_index, nu_m)
         assert np.max(np.abs(marg - js.nu)) <= 1e-12
 
     def test_singletons_always_marked(self):
         js = JointSpace(EDGE, 0.5)
         ms = MarkedSpace(js)
         S = ms.build_S()
-        for i, (F, x, marked) in enumerate(ms.states):
-            singletons = [cm for cm in ms.comps[F] if bin(cm).count("1") == 1]
-            if any(cm not in marked for cm in singletons):
+        cm = _subgraph_components(EDGE)
+        for i, (F, M) in enumerate(zip(ms.F, ms.M)):
+            singletons = [c for c in cm[F] if bin(int(c)).count("1") == 1]
+            if any(c & ~M for c in singletons):
                 assert np.max(S[:, i]) == 0.0
 
     def test_S_adjointness(self):
@@ -591,6 +758,42 @@ class TestMarkedSpace:
         assert np.max(np.abs(K0 - np.eye(ms.size))) <= 1e-14
 
 
+K4 = Graph(n=4, edges=tuple(itertools.combinations(range(4), 2)))
+HOUSE = Graph(n=5, edges=((0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (3, 4)))
+
+
+def _marked_order(ms: MarkedSpace, loop: LoopMarkedSpace) -> np.ndarray:
+    """perm[i]: the loop state (F, x, marked) of the array state i."""
+    return np.array([
+        loop.index[(int(F), int(x), frozenset(c for c in loop.comps[F] if c & ~int(M) == 0))]
+        for F, x, M in zip(ms.F, ms.x, ms.M)])
+
+
+class TestLoopOracle:
+    """The index-array spaces reproduce the per-state loops bit for bit."""
+
+    @pytest.mark.parametrize("G", small_graph_zoo() + [path(4), path(5), cycle(4), cycle(5),
+                                                      K4, HOUSE])
+    def test_operators_equal(self, G):
+        n = G.n
+        for beta in (0.0, 0.3, 0.8):
+            js, loop = JointSpace(G, beta), LoopJointSpace(G, beta)
+            assert list(zip(js.F.tolist(), js.x.tolist())) == loop.states
+            assert np.array_equal(js.nu, loop.nu)
+            assert np.array_equal(js.build_T(), loop.build_T())
+            assert np.array_equal(js.build_Tstar(), loop.build_Tstar())
+            ms, lms = MarkedSpace(js), LoopMarkedSpace(loop)
+            assert ms.size == lms.size
+            perm = _marked_order(ms, lms)
+            assert np.array_equal(np.sort(perm), np.arange(lms.size))
+            assert np.array_equal(ms.nu_m(), lms.nu_m()[perm])
+            assert np.array_equal(ms.build_S(), lms.build_S()[:, perm])
+            assert np.array_equal(ms.build_Sstar(), lms.build_Sstar()[perm])
+            for A in (None, frozenset(), frozenset({0}), frozenset(range(n))):
+                assert np.array_equal(js.build_Q(A), loop.build_Q(A))
+                assert np.array_equal(ms.build_K(A), lms.build_K(A)[np.ix_(perm, perm)])
+
+
 class TestDecompositions:
     @pytest.mark.parametrize("beta", [0.3, 0.8])
     @pytest.mark.parametrize("A", [None, frozenset(), frozenset({0})])
@@ -603,6 +806,37 @@ class TestDecompositions:
     def test_beta0_collapse(self):
         iv_res, msw_res = verify_decompositions(EDGE, 0.0, None)
         assert max(iv_res, msw_res) <= 1e-12
+
+    def test_seven_edges(self):
+        # K4 plus a pendant vertex: m = 7, 5480 marked states
+        G = Graph(n=5, edges=K4.edges + ((3, 4),))
+        assert MarkedSpace(JointSpace(G, 0.3)).size == 5480
+        for A in (None, frozenset({0, 4})):
+            iv_res, msw_res = verify_decompositions(G, 0.3, A)
+            assert iv_res <= 1e-10 and msw_res <= 1e-10
+
+    def test_state_count_does_not_wrap(self):
+        # K10: 2^45 joint states for the all-plus configuration alone
+        K10 = Graph(n=10, edges=tuple(itertools.combinations(range(10), 2)))
+        with pytest.raises(ValueError, match="joint space"):
+            JointSpace(K10, 0.3)
+
+    @pytest.mark.parametrize("G,msg", [
+        (random_regular(8, 3, 1), "joint space has 36288 states"),
+        (cycle(7), "marked space has 78128 states"),  # its joint space (2188) fits
+    ], ids=["random-regular-8-3-1", "cycle7"])
+    def test_refused_before_any_operator(self, G, msg):
+        verify_decompositions(path(3), 0.3)  # warm caches and imports
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=msg):
+                verify_decompositions(G, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 16 << 20  # a dense Q_A on cycle(7) alone is 37 MiB
 
 
 class TestCensoringOrder:

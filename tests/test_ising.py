@@ -16,7 +16,6 @@ from isingdyn.ising import (
     _enum_marginals,
     beta_c,
     clamped_marginals,
-    code_leq,
     conditional_marginal,
     decode_spins,
     encode_spins,
@@ -301,6 +300,32 @@ class TestEnumeration:
         assert peak <= 64 * 2**20, peak / 2**20
 
 
+def code_leq(x: int, y: int) -> bool:
+    """Encoded-configuration order: x <= y iff x's plus-set is inside y's."""
+    return (x & ~y) == 0
+
+
+def scan_up_sets(n: int) -> list[frozenset]:
+    """All upward-closed subsets of the configuration lattice on n spins.
+
+    The scan over all 2^(2^n) subsets that the library used before its
+    recursion, kept as an independent oracle for it.
+    """
+    size = 1 << n
+    codes = range(size)
+    # up_mask[x]: bitmask over codes of everything >= x
+    up_mask = [sum(1 << y for y in codes if code_leq(x, y)) for x in codes]
+    out = []
+    for mask in range(1 << size):
+        required = 0
+        for x in codes:
+            if (mask >> x) & 1:
+                required |= up_mask[x]
+        if required & ~mask == 0:
+            out.append(frozenset(x for x in codes if (mask >> x) & 1))
+    return out
+
+
 class TestPartialOrder:
     def test_reflexive(self):
         assert leq([1, -1], [1, -1])
@@ -344,6 +369,10 @@ class TestUpSets:
     def test_limit(self):
         with pytest.raises(ValueError):
             enumerate_up_sets(5)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_scan(self, n):
+        assert enumerate_up_sets(n) == scan_up_sets(n)
 
 
 class TestDominance:
