@@ -16,7 +16,6 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
 
 import click
 from click.exceptions import NoArgsIsHelpError
@@ -229,18 +228,32 @@ def couple(config, **flags):
     t_max = s.count("t_max", 10**6, 1)
     workers = min(s.count("jobs", 1, 1, os.cpu_count() or 1), n_seeds)
 
-    runs = (repeat(G), repeat(beta), repeat(spec),
-            range(base_seed, base_seed + n_seeds), repeat(t_max))
+    seeds = range(base_seed, base_seed + n_seeds)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(coupling_time, *runs))
+        # the graph travels once per worker; seeds are dealt one at a time
+        with ProcessPoolExecutor(max_workers=workers, initializer=_couple_init,
+                                 initargs=(G, beta, spec, t_max)) as pool:
+            results = list(pool.map(_couple_seed, seeds))
     else:
-        results = list(map(coupling_time, *runs))
+        results = [coupling_time(G, beta, spec, seed, t_max) for seed in seeds]
     with _open_out(s) as fh:
         fh.write("seed,n,beta,dynamics,coalescence_step,timeout_flag\n")
         for r in results:  # seeds in order; map preserves it
             fh.write(f"{r.seed},{G.n},{beta},{spec.kind},{r.steps},"
                      f"{int(r.timed_out)}\n")
+
+
+_couple_run = None  # (G, beta, spec, t_max) in a couple --jobs worker
+
+
+def _couple_init(G, beta, spec, t_max):
+    global _couple_run
+    _couple_run = (G, beta, spec, t_max)
+
+
+def _couple_seed(seed):
+    G, beta, spec, t_max = _couple_run
+    return coupling_time(G, beta, spec, seed, t_max)
 
 
 def _verify_checks(G, beta, spec, eps):

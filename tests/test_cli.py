@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from isingdyn import cli
 from isingdyn.cli import _check_failed, main, parse_graph
+from isingdyn.graph import Graph
 
 runner = CliRunner()
 
@@ -305,6 +306,23 @@ class TestCouple:
         parallel = runner.invoke(main, args + ["--jobs", "2"])
         assert serial.output == parallel.output
 
+    def test_jobs_send_graph_once_per_worker(self, monkeypatch):
+        args = ["couple", "--graph", "cycle(16)", "--beta", "0.3", "--seed", "0",
+                "--seeds", "8"] + IV
+        serial = runner.invoke(main, args)
+        reduced = []
+        real = Graph.__reduce__
+
+        def counted(self):
+            reduced.append(self.n)
+            return real(self)
+
+        monkeypatch.setattr(Graph, "__reduce__", counted)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        parallel = runner.invoke(main, args + ["--jobs", "2"])
+        assert parallel.exit_code == 0 and parallel.output == serial.output
+        assert len(reduced) <= 2
+
     def test_graph_built_once(self, monkeypatch):
         calls = []
         real = cli.generate
@@ -327,8 +345,9 @@ class TestCouple:
         class RecordingPool:
             """Records its worker count and runs the map in this process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -340,6 +359,7 @@ class TestCouple:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_couple_run", None)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         args = ["couple", "--graph", "cycle(8)", "--beta", "0.3", "--seeds", seeds] + IV
         res = runner.invoke(main, args + ["--jobs", jobs])

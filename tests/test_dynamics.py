@@ -24,7 +24,13 @@ from isingdyn.dynamics import (
 from isingdyn.exact import transition_matrix
 from isingdyn.graph import Graph, cycle, path
 from isingdyn.ising import encode_spins
-from isingdyn.randomness import SharedRandomness, StepDraws, sequential_draws
+from isingdyn.randomness import (
+    _STREAM_TAG,
+    SharedRandomness,
+    StepDraws,
+    _step_fields,
+    sequential_draws,
+)
 
 EDGE = Graph(n=2, edges=((0, 1),))
 
@@ -473,3 +479,48 @@ class TestSharedRandomness:
         d = StepDraws(np.zeros(1), np.ones(2, dtype=np.int8), np.zeros(2), 0.999)
         assert d.block_index(3) == 2
         assert d.vertex_index(5) == 4
+
+    @staticmethod
+    def assert_same_draws(got, want):
+        for field in ("edge_uniforms", "vertex_spins", "vertex_uniforms"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert g.dtype == w.dtype and g.shape == w.shape, field
+            assert np.array_equal(g, w), field
+        assert type(got.selector) is float and got.selector == want.selector
+
+    def assert_matches_oracle(self, seed, t, n, m):
+        """at(t) equals reading key (tag ^ seed, t) through a Generator."""
+        key = np.array([(_STREAM_TAG << 32) ^ seed, t], dtype=np.uint64)
+        want = _step_fields(np.random.Generator(np.random.Philox(key=key)), n, m)
+        self.assert_same_draws(SharedRandomness(seed, n, m).at(t), want)
+
+    @pytest.mark.parametrize("n", [*range(20), 255, 256, 257, 1023, 1024])
+    def test_matches_generator_oracle(self, n):
+        for m in sorted({0, 1, 3, n, 2 * n, 3 * n // 2}):
+            for seed in (0, 1, 12345, 2**63, 2**64 - 1):
+                for t in (0, 1, 7, 2**32, 2**64 - 1):
+                    self.assert_matches_oracle(seed, t, n, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), t=st.integers(0, 2**64 - 1),
+           n=st.integers(0, 64), data=st.data())
+    def test_matches_generator_oracle_hypothesis(self, seed, t, n, data):
+        self.assert_matches_oracle(seed, t, n, data.draw(st.integers(0, 3 * n)))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_refused(self, seed):
+        with pytest.raises(OverflowError):
+            SharedRandomness(seed, 4, 4).at(1)
+
+    @pytest.mark.parametrize("t", [-1, 2**64])
+    def test_step_out_of_range_refused(self, t):
+        sr = SharedRandomness(3, 4, 4)
+        with pytest.raises(OverflowError):
+            sr.at(t)
+        self.assert_same_draws(sr.at(2), SharedRandomness(3, 4, 4).at(2))
+
+    def test_state_reset_every_step(self):
+        sr = SharedRandomness(11, 7, 9)
+        first = sr.at(5)
+        sr.at(9)
+        self.assert_same_draws(sr.at(5), first)
