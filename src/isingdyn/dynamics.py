@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .ising import conditional_marginal
+from .ising import ENUM_LIMIT, conditional_marginal
 from .randomness import StepDraws, sequential_draws
 
 __all__ = [
@@ -54,6 +54,9 @@ class DynamicsSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
+        for v in [v for b in self.blocks or () for v in b] + [*(self.censor or ())]:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"block and censor entries are vertices, not {v!r}")
         if self.kind == "block":
             if not self.blocks:
                 raise ValueError("block dynamics needs a nonempty block list")
@@ -71,7 +74,7 @@ class DynamicsSpec:
             if union != set(range(G.n)):
                 raise ValueError("blocks must cover every vertex")
             for b in self.blocks:
-                if len(b) > 20:
+                if len(b) > ENUM_LIMIT:
                     raise ValueError("block too large for exact conditional sampling")
         if self.censor is not None and not all(0 <= v < G.n for v in self.censor):
             raise ValueError("censor set out of range")
@@ -84,6 +87,9 @@ class DynamicsSpec:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("a dynamics spec is a JSON object")
+        unknown = sorted(set(obj) - {"kind", "blocks", "censor"})
+        if unknown:
+            raise ValueError(f"unknown dynamics spec key {unknown[0]!r}")
         blocks = obj.get("blocks")
         censor = obj.get("censor")
         return cls(
@@ -206,7 +212,7 @@ def block_step(G: Graph, beta: float, spins, blocks, draws: StepDraws,
 
     The block vertices are updated sequentially in increasing index order,
     each from its exact conditional given the already-updated prefix and
-    everything outside the free set (remaining free vertices are
+    the free set's outer boundary (remaining free vertices are
     marginalized). The threshold form makes this the monotone grand
     coupling from the proofs.
     """
@@ -217,8 +223,9 @@ def block_step(G: Graph, beta: float, spins, blocks, draws: StepDraws,
     if not free:
         return out
     free_set = set(free)
-    # everything outside the free set, then each free vertex once updated
-    boundary = {u: s for u, s in enumerate(out.tolist()) if u not in free_set}
+    # the free set's outer boundary (Markov), then each free vertex once updated
+    boundary = {w: int(spins[w]) for u in free for w in G.adjacency[u]
+                if w not in free_set}
     for v in free:
         p_plus = conditional_marginal(G, beta, v, boundary)
         out[v] = boundary[v] = 1 if draws.vertex_uniforms[v] <= p_plus else -1

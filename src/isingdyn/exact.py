@@ -274,7 +274,7 @@ def tv_mixing_time(P: np.ndarray, mu: np.ndarray, eps: float = 0.25,
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
-    if P.shape[0] > 1024:
+    if P.shape[0] > 1 << N_DIRECT_LIMIT:
         raise ValueError("state space too large for matrix powering")
     if 1.0 - mu.min() <= eps:
         return 0

@@ -8,7 +8,6 @@ reproducible.
 from __future__ import annotations
 
 import inspect
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ __all__ = [
     "GraphError",
     "MAX_VERTICES",
     "load_edge_list",
+    "distances",
     "ball",
     "sphere",
     "cycle",
@@ -121,37 +121,36 @@ def load_edge_list(path) -> Graph:
     return Graph(n=max_v + 1, edges=tuple(edges))
 
 
-def _bfs_dist(G: Graph, v: int) -> list[int]:
-    dist = [-1] * G.n
-    dist[v] = 0
-    dq = deque([v])
-    while dq:
-        u = dq.popleft()
+def distances(G: Graph, v: int, blocked=()) -> dict[int, int]:
+    """Graph distance from v to each vertex it reaches without entering
+    `blocked`, keyed in breadth-first visit order (v first)."""
+    dist = {v: 0}
+    queue = [v]
+    for u in queue:  # grows while it is read
+        d = dist[u] + 1
         for w in G.adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                dq.append(w)
+            if w not in dist and w not in blocked:
+                dist[w] = d
+                queue.append(w)
     return dist
+
+
+def _checked_distances(G: Graph, v: int, R: int) -> dict[int, int]:
+    if not 0 <= v < G.n:
+        raise GraphError(f"vertex {v} out of range")
+    if R < 0:
+        raise GraphError("radius must be nonnegative")
+    return distances(G, v)
 
 
 def ball(G: Graph, v: int, R: int) -> frozenset:
     """B(v,R): all vertices at graph distance at most R from v."""
-    if not 0 <= v < G.n:
-        raise GraphError(f"vertex {v} out of range")
-    if R < 0:
-        raise GraphError("radius must be nonnegative")
-    dist = _bfs_dist(G, v)
-    return frozenset(u for u in range(G.n) if 0 <= dist[u] <= R)
+    return frozenset(u for u, d in _checked_distances(G, v, R).items() if d <= R)
 
 
 def sphere(G: Graph, v: int, R: int) -> frozenset:
     """S(v,R): the vertices at graph distance exactly R+1 from v."""
-    if not 0 <= v < G.n:
-        raise GraphError(f"vertex {v} out of range")
-    if R < 0:
-        raise GraphError("radius must be nonnegative")
-    dist = _bfs_dist(G, v)
-    return frozenset(u for u in range(G.n) if dist[u] == R + 1)
+    return frozenset(u for u, d in _checked_distances(G, v, R).items() if d == R + 1)
 
 
 def cycle(n: int) -> Graph:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .graph import Graph
+from .graph import Graph, distances
 
 __all__ = [
     "beta_c",
@@ -102,19 +102,6 @@ class FeasibilityError(ValueError):
     """Sphere or free region too large for exact computation."""
 
 
-def _component_of(G: Graph, v: int, blocked) -> list[int]:
-    """Connected component of v in G with `blocked` vertices removed."""
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in G.adjacency[u]:
-            if w not in seen and w not in blocked:
-                seen.add(w)
-                stack.append(w)
-    return sorted(seen)
-
-
 def clamped_marginals(G: Graph, beta: float, v: int, clamp: dict):
     """P(sigma(v)=+) under mu with the vertices of `clamp` fixed.
 
@@ -131,39 +118,26 @@ def clamped_marginals(G: Graph, beta: float, v: int, clamp: dict):
     floats and each message carries only the axes of the clampings below
     it; other components are enumerated (at most 2^ENUM_LIMIT states).
     """
-    comp = _component_of(G, v, clamp)
-    comp_set = set(comp)
+    dist = distances(G, v, clamp)
 
     def field(u):
         return beta * sum((clamp[w] for w in G.adjacency[u] if w in clamp), 0)
 
-    twice_edges = sum(w in comp_set for u in comp for w in G.adjacency[u])
-    if twice_edges == 2 * (len(comp) - 1):
-        return _tree_marginals(G, beta, v, comp_set, field)
-    return _enum_marginals(G, beta, v, comp, field)
+    ends = sum(w in dist for u in dist for w in G.adjacency[u])
+    if ends == 2 * (len(dist) - 1):  # a tree: k vertices, k-1 edges
+        return _tree_marginals(G, beta, v, dist, field)
+    return _enum_marginals(G, beta, v, sorted(dist), field)
 
 
-def _tree_marginals(G, beta, v, comp_set, field):
-    """Bottom-up message passing rooted at v, in log space."""
-    parent = {v: None}
-    order = [v]
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in G.adjacency[u]:
-            if w in comp_set and w not in parent:
-                parent[w] = u
-                order.append(w)
-                stack.append(w)
-    children: dict[int, list[int]] = {u: [] for u in order}
-    for w in order[1:]:
-        children[parent[w]].append(w)
-
+def _tree_marginals(G, beta, v, dist, field):
+    """Bottom-up message passing rooted at v, in log space, over `dist`'s
+    breadth-first order: u's children are its neighbours one step further out."""
     logm = {}  # u -> normalized (log m(+), log m(-)) toward the parent
-    for u in reversed(order):
+    for u, d in reversed(dist.items()):
         h = field(u)
-        lp = h + sum(logm[w][0] for w in children[u])
-        lm = -h + sum(logm[w][1] for w in children[u])
+        children = [w for w in G.adjacency[u] if dist.get(w) == d + 1]
+        lp = h + sum(logm[w][0] for w in children)
+        lm = -h + sum(logm[w][1] for w in children)
         if u == v:
             return 1.0 / (1.0 + np.exp(lm - lp))
         # marginalize u's spin for each parent spin

@@ -20,12 +20,13 @@ m + h + n + 1 words:
   its high half); for odd n the last high half goes unused.
 
 This equals reading the same key through np.random.Generator in the order
-above (`_step_fields`, kept as the oracle): Generator.random converts each
-word as above, and integers(0, 2) takes the top bit of each 32-bit draw,
-low half first, never rejecting, since Lemire's threshold (2^32 - 2) mod 2
-is 0. Nothing carries from one step to the next, because every step resets
-the generator to key (seed tag, t), counter 0, empty buffer. One
-SharedRandomness holds that generator and is therefore not thread-safe.
+above (`sequential_draws`, kept as the oracle): Generator.random converts
+each word as above, and integers(0, 2) takes the top bit of each 32-bit
+draw, low half first, never rejecting, since Lemire's threshold
+(2^32 - 2) mod 2 is 0. Nothing carries from one step to the next, because
+every step resets the generator to key (seed tag, t), counter 0, empty
+buffer. One SharedRandomness holds that generator and is therefore not
+thread-safe.
 """
 
 from __future__ import annotations
@@ -95,15 +96,11 @@ def sequential_draws(rng: np.random.Generator, n: int, m: int) -> StepDraws:
     """One step's fields from an ordinary sequential generator.
 
     Used by single-chain simulation, where counter-based access is not
-    needed; the consumption order matches SharedRandomness.at exactly.
+    needed; on a Generator over step t's Philox key it is the oracle for
+    SharedRandomness.at(t).
     """
-    return _step_fields(rng, n, m)
-
-
-def _step_fields(gen: np.random.Generator, n: int, m: int) -> StepDraws:
-    """Read one step's fields from gen in the fixed consumption order."""
-    edge_u = gen.random(m)
-    spins = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
-    vert_u = gen.random(n)
-    sel = float(gen.random())
+    edge_u = rng.random(m)
+    spins = (2 * rng.integers(0, 2, size=n) - 1).astype(np.int8)
+    vert_u = rng.random(n)
+    sel = float(rng.random())
     return StepDraws(edge_u, spins, vert_u, sel)

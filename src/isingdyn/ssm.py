@@ -14,7 +14,6 @@ axis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +45,6 @@ class InfluenceTable:
     @property
     def passes(self) -> bool:
         return self.total <= ASSM_BOUND
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "v": self.v,
-            "R": self.R,
-            "entries": [{"u": u, "a_u": a} for u, a in sorted(self.entries.items())],
-            "total": self.total,
-            "pass": self.passes,
-        })
 
 
 def _sphere_marginals(G: Graph, beta: float, v: int, S: list[int]) -> np.ndarray:

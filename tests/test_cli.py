@@ -115,12 +115,25 @@ class TestInvalidInput:
         (["sample", "--graph", "random_regular(1000,999,1)", "--beta", "0.5"] + IV, {}),
         (["sample", "--graph", "random_regular(2000,1999,1)", "--beta", "0.5"] + IV, {}),
         (["--bogus"], {}),
+        (["sample", "--graph", "path(2)", "--beta", "0.3", "--dynamics",
+          '{"kind": "block", "blocks": [[0.0], [1]]}'], {}),
+        (["sample", "--graph", "path(2)", "--beta", "0.3", "--dynamics",
+          '{"kind": "iv", "censor": [0.5]}'], {}),
+        (["verify", "--graph", "cycle(4)", "--beta", "0.3", "--dynamics",
+          '{"kind": "iv", "censor": [0.5]}'], {}),
+        (["sample", "--graph", "path(2)", "--beta", "0.3", "--dynamics",
+          '{"kind": "iv", "censor": [true]}'], {}),
+        (["sample", "--graph", "path(2)", "--beta", "0.3", "--dynamics",
+          '{"kind": "iv", "censor": "01"}'], {}),
+        (["verify", "--graph", "path(3)", "--beta", "0.3", "--dynamics",
+          '{"kind": "glauber", "censr": [0]}'], {}),
     ], ids=["negative-seed", "negative-seed-couple", "env-seed-abc", "gap-size-11",
             "beta-nan", "beta-negative", "t-max-0", "seeds-0", "eps-0",
             "dynamics-not-object", "censored-glauber", "grid-one-arg",
             "random-regular-two-args", "assm-grid-one-arg", "seed-abc",
             "gap-family-grid", "format-csv", "random-regular-999", "random-regular-1999",
-            "group-option"])
+            "group-option", "float-block", "float-censor", "float-censor-verify",
+            "bool-censor", "string-censor", "misspelt-key"])
     def test_exit2_one_line(self, argv, env):
         start = time.perf_counter()
         res = runner.invoke(main, argv, env=env)

@@ -23,12 +23,11 @@ from isingdyn.dynamics import (
 )
 from isingdyn.exact import transition_matrix
 from isingdyn.graph import Graph, cycle, path
-from isingdyn.ising import encode_spins
+from isingdyn.ising import ENUM_LIMIT, conditional_marginal, encode_spins
 from isingdyn.randomness import (
     _STREAM_TAG,
     SharedRandomness,
     StepDraws,
-    _step_fields,
     sequential_draws,
 )
 
@@ -218,6 +217,23 @@ class TestRootArrayProperties:
                          loop_msw_step(G, beta, spins, d, A))
 
 
+def loop_block_step(G, beta, spins, blocks, draws, A=None):
+    """block_step as it was, clamping every vertex outside the free set:
+    the oracle for clamping only the free set's outer boundary."""
+    spins = np.asarray(spins, dtype=np.int8)
+    k = draws.block_index(len(blocks))
+    free = sorted(blocks[k] if A is None else (blocks[k] & A))
+    out = spins.copy()
+    if not free:
+        return out
+    free_set = set(free)
+    boundary = {u: s for u, s in enumerate(out.tolist()) if u not in free_set}
+    for v in free:
+        p_plus = conditional_marginal(G, beta, v, boundary)
+        out[v] = boundary[v] = 1 if draws.vertex_uniforms[v] <= p_plus else -1
+    return out
+
+
 class TestHeatBathSteps:
     @settings(max_examples=200)
     @given(cluster_cases())
@@ -226,6 +242,18 @@ class TestHeatBathSteps:
         singletons = tuple(frozenset({v}) for v in range(G.n))
         assert_identical(glauber_step(G, beta, spins, d),
                          block_step(G, beta, spins, singletons, d))
+
+    @settings(max_examples=300)
+    @given(cluster_cases(), st.data())
+    def test_block_step_matches_loop(self, case, data):
+        G, beta, spins, d, A = case
+        # blocks: random vertex sets (overlaps allowed), then the uncovered rest
+        blocks = data.draw(st.lists(st.frozensets(st.integers(0, G.n - 1), min_size=1),
+                                    max_size=4))
+        rest = frozenset(range(G.n)).difference(*blocks)
+        blocks = tuple(data.draw(st.permutations(blocks + ([rest] if rest else []))))
+        assert_identical(block_step(G, beta, spins, blocks, d, A),
+                         loop_block_step(G, beta, spins, blocks, d, A))
 
 
 class TestDynamicsSpec:
@@ -253,6 +281,17 @@ class TestDynamicsSpec:
         spec = DynamicsSpec("block", blocks=(frozenset({0}),))
         with pytest.raises(ValueError):
             spec.validate_for(path(3))
+
+    @pytest.mark.parametrize("size,ok", [(ENUM_LIMIT, True), (ENUM_LIMIT + 1, False)])
+    def test_block_size_limit(self, size, ok):
+        G = path(ENUM_LIMIT + 1)
+        blocks = (frozenset(range(size)), frozenset(range(size, G.n)) or frozenset({0}))
+        spec = DynamicsSpec("block", blocks=blocks)
+        if ok:
+            spec.validate_for(G)
+        else:
+            with pytest.raises(ValueError, match="block too large"):
+                spec.validate_for(G)
 
     def test_json_roundtrip(self):
         spec = DynamicsSpec("block", blocks=(frozenset({0, 1}), frozenset({2})),
@@ -491,7 +530,7 @@ class TestSharedRandomness:
     def assert_matches_oracle(self, seed, t, n, m):
         """at(t) equals reading key (tag ^ seed, t) through a Generator."""
         key = np.array([(_STREAM_TAG << 32) ^ seed, t], dtype=np.uint64)
-        want = _step_fields(np.random.Generator(np.random.Philox(key=key)), n, m)
+        want = sequential_draws(np.random.Generator(np.random.Philox(key=key)), n, m)
         self.assert_same_draws(SharedRandomness(seed, n, m).at(t), want)
 
     @pytest.mark.parametrize("n", [*range(20), 255, 256, 257, 1023, 1024])

@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from isingdyn.graph import (
     MAX_REGULAR_DEGREE,
@@ -17,6 +17,7 @@ from isingdyn.graph import (
     ball,
     complete_tree,
     cycle,
+    distances,
     generate,
     grid,
     load_edge_list,
@@ -24,6 +25,7 @@ from isingdyn.graph import (
     random_regular,
     sphere,
 )
+from test_dynamics import small_graphs
 
 
 def loop_random_regular(n, d, seed):
@@ -51,15 +53,15 @@ def loop_random_regular(n, d, seed):
             return tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
 
 
-def bfs_oracle(G, v):
-    """Independent BFS distances, kept deliberately naive."""
+def bfs_oracle(G, v, blocked=()):
+    """Independent BFS distances avoiding `blocked`, kept deliberately naive."""
     dist = {v: 0}
     dq = deque([v])
     while dq:
         u = dq.popleft()
         for a, b in G.edges:
             for x, y in ((a, b), (b, a)):
-                if x == u and y not in dist:
+                if x == u and y not in dist and y not in blocked:
                     dist[y] = dist[u] + 1
                     dq.append(y)
     return dist
@@ -147,6 +149,20 @@ class TestBallSphere:
         dist = bfs_oracle(G, v)
         assert ball(G, v, R) == {u for u, d in dist.items() if d <= R}
         assert sphere(G, v, R) == {u for u, d in dist.items() if d == R + 1}
+
+    @settings(max_examples=200)
+    @given(small_graphs(), st.data())
+    def test_distances_match_bfs_oracle(self, G, data):
+        v = data.draw(st.integers(0, G.n - 1))
+        blocked = data.draw(st.frozensets(st.integers(0, G.n - 1)) | st.just(()))
+        dist = distances(G, v, blocked)
+        assert dist == bfs_oracle(G, v, blocked)
+        # visit order: v first, distances never decrease
+        assert next(iter(dist)) == v and list(dist.values()) == sorted(dist.values())
+        R = data.draw(st.integers(0, G.n))
+        full = bfs_oracle(G, v)
+        assert ball(G, v, R) == {u for u, d in full.items() if d <= R}
+        assert sphere(G, v, R) == {u for u, d in full.items() if d == R + 1}
 
     @given(st.integers(3, 9), st.integers(0, 4))
     def test_nesting_and_disjointness(self, n, R):

@@ -6,13 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from isingdyn.graph import Graph, complete_tree, cycle, grid, path, sphere
+from isingdyn.graph import Graph, complete_tree, cycle, distances, grid, path, sphere
 from isingdyn.ising import (
     ENUM_LIMIT,
     FeasibilityError,
-    _component_of,
     _enum_marginals,
     beta_c,
     clamped_marginals,
@@ -275,7 +274,7 @@ class TestEnumeration:
         shape = np.broadcast_shapes(*map(np.shape, clamp.values()))
         flat = {u: np.broadcast_to(s, shape).reshape(-1) if shape else s
                 for u, s in clamp.items()}
-        comp = _component_of(G, v, clamp)
+        comp = sorted(distances(G, v, clamp))
         got = _enum_marginals(G, beta, v, comp, fields(G, beta, clamp))
         zero = 0 * next(iter(flat.values()), 0)
         want = loop_enum_marginals(G, beta, v, comp, fields(G, beta, flat, zero),
@@ -298,6 +297,104 @@ class TestEnumeration:
             tracemalloc.stop()
         assert np.shape(out) == ((16,) if clamped else ())
         assert peak <= 64 * 2**20, peak / 2**20
+
+
+def loop_clamped_marginals(G, beta, v, clamp):
+    """clamped_marginals as it was with one walk to find v's free component,
+    a second to count its edges and a third to root it: the oracle for the
+    single breadth-first walk."""
+    comp_set = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in G.adjacency[u]:
+            if w not in comp_set and w not in clamp:
+                comp_set.add(w)
+                stack.append(w)
+    comp = sorted(comp_set)
+    field = fields(G, beta, clamp)
+    twice_edges = sum(w in comp_set for u in comp for w in G.adjacency[u])
+    if twice_edges != 2 * (len(comp) - 1):
+        return _enum_marginals(G, beta, v, comp, field)
+
+    parent = {v: None}
+    order = [v]
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        for w in G.adjacency[u]:
+            if w in comp_set and w not in parent:
+                parent[w] = u
+                order.append(w)
+                stack.append(w)
+    children = {u: [] for u in order}
+    for w in order[1:]:
+        children[parent[w]].append(w)
+
+    logm = {}
+    for u in reversed(order):
+        h = field(u)
+        lp = h + sum(logm[w][0] for w in children[u])
+        lm = -h + sum(logm[w][1] for w in children[u])
+        if u == v:
+            return 1.0 / (1.0 + np.exp(lm - lp))
+        to_plus = np.logaddexp(beta + lp, -beta + lm)
+        to_minus = np.logaddexp(-beta + lp, beta + lm)
+        z = np.logaddexp(to_plus, to_minus)
+        logm[u] = (to_plus - z, to_minus - z)
+
+
+@st.composite
+def marginal_cases(draw):
+    """(G, v, clamp): a graph, tree or forest on n <= 12 vertices, relabelled
+    and with its edges shuffled, and one clamping, equal-length arrays or
+    per-axis arrays on a set that avoids v."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["graph", "tree", "forest"]))
+    if kind == "graph":
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)
+                     if pairs else st.just([]))
+    else:  # vertex i joins an earlier vertex, or starts a new tree in a forest
+        edges = [(p, i) for i in range(1, n)
+                 if (p := draw(st.integers(-(kind == "forest"), i - 1))) >= 0]
+    label = draw(st.permutations(range(n)))
+    G = Graph(n=n, edges=tuple(draw(st.permutations(
+        [(label[a], label[b]) for a, b in edges]))))
+    v = draw(st.integers(0, n - 1))
+    others = [u for u in range(n) if u != v]
+    form = draw(st.sampled_from(["one", "arrays", "per-axis"]))
+    clamped = draw(st.lists(st.sampled_from(others), unique=True,
+                            max_size=8 if form == "per-axis" else n - 1)
+                   if others else st.just([]))
+    if form == "one":
+        clamp = {u: draw(st.sampled_from([-1, 1])) for u in clamped}
+    elif form == "arrays":
+        length = draw(st.integers(1, 6))
+        clamp = {u: np.array(draw(st.lists(st.sampled_from([-1, 1]),
+                                           min_size=length, max_size=length)))
+                 for u in clamped}
+    else:
+        k = len(clamped)
+        clamp = {u: np.array([-1, 1]).reshape([2 if a == j else 1 for a in range(k)])
+                 for j, u in enumerate(clamped)}
+    return G, v, clamp
+
+
+class TestOneWalk:
+    """The single breadth-first walk against the three walks it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(marginal_cases(), st.floats(0.0, 2.0))
+    # v's children carry unequal messages, so their sum order shows in the last bit
+    @example((Graph(n=8, edges=((0, 2), (0, 1), (0, 3), (0, 4), (2, 5), (0, 6), (0, 7))),
+              0, {1: np.array([[-1], [1]]), 5: np.array([[-1, 1]])}), 1.3125)
+    def test_matches_loop_exactly(self, case, beta):
+        G, v, clamp = case
+        got = clamped_marginals(G, beta, v, clamp)
+        want = loop_clamped_marginals(G, beta, v, clamp)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
 
 
 def code_leq(x: int, y: int) -> bool:
