@@ -139,8 +139,12 @@ COMMANDS = {
 
 
 def _open_out(settings):
+    """--out opened for writing, else stdout; called once the inputs are valid."""
     out = settings.get("out")
-    return open(out, "w") if out else sys.stdout
+    try:
+        return open(out, "w") if out else sys.stdout
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in a config's path
+        _fail_invalid(f"cannot write --out: {exc}")
 
 
 def _dynamics_spec(settings) -> DynamicsSpec:
@@ -202,11 +206,10 @@ def sample(config, **flags):
     steps = s.count("steps", 0, 0)
     burnin = s.count("burnin", 0, 0)
     seed = s.seed()
-
-    final, collected = run_chain(G, beta, spec, burnin + steps, seed,
-                                 collect_every=1, collect_after=burnin)
-    lines = ["".join("+" if x > 0 else "-" for x in st) for st in collected or [final]]
     with _open_out(s) as fh:
+        final, collected = run_chain(G, beta, spec, burnin + steps, seed,
+                                     collect_every=1, collect_after=burnin)
+        lines = ["".join("+" if x > 0 else "-" for x in st) for st in collected or [final]]
         fh.write("\n".join(lines) + "\n")
 
 
@@ -229,14 +232,14 @@ def couple(config, **flags):
     workers = min(s.count("jobs", 1, 1, os.cpu_count() or 1), n_seeds)
 
     seeds = range(base_seed, base_seed + n_seeds)
-    if workers > 1:
-        # the graph travels once per worker; seeds are dealt one at a time
-        with ProcessPoolExecutor(max_workers=workers, initializer=_couple_init,
-                                 initargs=(G, beta, spec, t_max)) as pool:
-            results = list(pool.map(_couple_seed, seeds))
-    else:
-        results = [coupling_time(G, beta, spec, seed, t_max) for seed in seeds]
     with _open_out(s) as fh:
+        if workers > 1:
+            # the graph travels once per worker; seeds are dealt one at a time
+            with ProcessPoolExecutor(max_workers=workers, initializer=_couple_init,
+                                     initargs=(G, beta, spec, t_max)) as pool:
+                results = list(pool.map(_couple_seed, seeds))
+        else:
+            results = [coupling_time(G, beta, spec, seed, t_max) for seed in seeds]
         fh.write("seed,n,beta,dynamics,coalescence_step,timeout_flag\n")
         for r in results:  # seeds in order; map preserves it
             fh.write(f"{r.seed},{G.n},{beta},{spec.kind},{r.steps},"
@@ -340,10 +343,10 @@ def verify(config, **flags):
     except (GraphError, TypeError, ValueError) as exc:
         _fail_invalid(str(exc))
     beta = s.beta()
-    checks = _verify_checks(G, beta, spec, eps)
-    report = {"graph": s.require("graph"), "checks": checks,
-              "failed": sum(_check_failed(c) for c in checks)}
     with _open_out(s) as fh:
+        checks = _verify_checks(G, beta, spec, eps)
+        report = {"graph": s.require("graph"), "checks": checks,
+                  "failed": sum(_check_failed(c) for c in checks)}
         json.dump(report, fh, indent=2)
         fh.write("\n")
     if all("skipped" in c for c in checks):
@@ -365,16 +368,16 @@ def gap(config, **flags):
                              "for exact kernels")
     except ValueError as exc:
         _fail_invalid(str(exc))
-    rows = []
-    for G in graphs:
-        sw = exact.transition_matrix(G, beta, DynamicsSpec("sw"))
-        iv = exact.transition_matrix(G, beta, DynamicsSpec("iv"))
-        g_sw = exact.spectral_report(sw.P, sw.mu)
-        g_iv = exact.spectral_report(iv.P, iv.mu)
-        rows.append((G.n, g_sw.gap, g_iv.gap,
-                     g_sw.relaxation if g_sw.relaxation_finite else "",
-                     g_iv.relaxation if g_iv.relaxation_finite else ""))
     with _open_out(s) as fh:
+        rows = []
+        for G in graphs:
+            sw = exact.transition_matrix(G, beta, DynamicsSpec("sw"))
+            iv = exact.transition_matrix(G, beta, DynamicsSpec("iv"))
+            g_sw = exact.spectral_report(sw.P, sw.mu)
+            g_iv = exact.spectral_report(iv.P, iv.mu)
+            rows.append((G.n, g_sw.gap, g_iv.gap,
+                         g_sw.relaxation if g_sw.relaxation_finite else "",
+                         g_iv.relaxation if g_iv.relaxation_finite else ""))
         fh.write("n,gap_sw,gap_iv,relax_sw,relax_iv\n")
         for row in rows:
             fh.write(",".join(str(x) for x in row) + "\n")
@@ -390,19 +393,19 @@ def assm(config, **flags):
         _fail_invalid(str(exc))
     beta = s.beta()
     r_max = s.count("r_max", 6, 0)
-    radius, details = find_assm_radius(G, beta, r_max)
-    report = {
-        "graph": s.require("graph"),
-        "beta": beta,
-        "R_max": r_max,
-        "radius": radius,
-        "pass": radius is not None,
-        "per_radius": {
-            str(R): {str(v): list(res) for v, res in per_v.items()}
-            for R, per_v in details.items()
-        },
-    }
     with _open_out(s) as fh:
+        radius, details = find_assm_radius(G, beta, r_max)
+        report = {
+            "graph": s.require("graph"),
+            "beta": beta,
+            "R_max": r_max,
+            "radius": radius,
+            "pass": radius is not None,
+            "per_radius": {
+                str(R): {str(v): list(res) for v, res in per_v.items()}
+                for R, per_v in details.items()
+            },
+        }
         json.dump(report, fh, indent=2)
         fh.write("\n")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 KINDS = ("glauber", "block", "sw", "iv", "msw")
+# Exact-enumeration guards; below both, `components` reads a table of <= 1.25 MiB.
+N_DIRECT_LIMIT = 10
+M_CLUSTER_LIMIT = 14
+_EDGE_BITS = 1 << np.arange(M_CLUSTER_LIMIT)  # F @ _EDGE_BITS[:m]: F's row in that table
 
 
 @dataclass(frozen=True)
@@ -119,28 +124,48 @@ def percolate(G: Graph, spins, beta: float, edge_uniforms) -> np.ndarray:
 
 
 def components(G: Graph, F_mask) -> np.ndarray:
-    """Connected components of the subgraph (V, F) via union-find.
+    """Connected components of the subgraph (V, F).
 
     Returns root, an int64 array: root[v] is the smallest vertex of v's
-    component. Each union points the larger root at the smaller one, so
-    parent[v] <= v throughout and one ascending pass resolves every root.
+    component; F_mask of shape (K, m) gives one row of roots per row. Below
+    both exact limits rows are read from a cached table of all 2^m edge
+    subsets; other graphs are labelled directly.
     """
-    parent = list(range(G.n))
+    F = np.asarray(F_mask, dtype=bool)
+    if G.n <= N_DIRECT_LIMIT and G.m <= M_CLUSTER_LIMIT:
+        return _subset_roots(G).take(F @ _EDGE_BITS[:G.m], axis=0)
+    return _label(G, F)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for i in np.flatnonzero(F_mask).tolist():
-        u, w = G.edges[i]
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[max(ru, rw)] = min(ru, rw)
-    for v in range(G.n):
-        parent[v] = parent[parent[v]]
-    return np.array(parent, dtype=np.int64)
+@lru_cache(maxsize=64)
+def _subset_roots(G: Graph) -> np.ndarray:
+    """Read-only roots[F, v] for every edge subset F (bit i keeps edge i)."""
+    roots = _label(G, np.arange(1 << G.m)[:, None] & _EDGE_BITS[:G.m])
+    roots.flags.writeable = False
+    return roots
+
+
+def _label(G: Graph, F: np.ndarray) -> np.ndarray:
+    """Roots of each row of the edge mask F, row k on vertices k*n..k*n+n-1.
+
+    Hook and jump (Shiloach & Vishkin 1982): each edge hooks the larger of
+    its two roots under the smaller (the smallest offer wins), then pointers
+    are doubled until stable; this repeats until both ends of every edge share
+    a root. Roots only decrease within their component, so each ends at its minimum.
+    """
+    rows = np.atleast_2d(F)
+    k, i = np.nonzero(rows)
+    u, w = G.endpoint_arrays()
+    a, b = u[i] + G.n * k, w[i] + G.n * k
+    root = np.arange(G.n * len(rows), dtype=np.int64)
+    while a.size:
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        live = root[a] != root[b]
+        a, b = a[live], b[live]
+    return (root % G.n).reshape(F.shape[:-1] + (G.n,))
 
 
 def _in_A(n: int, A: frozenset | None) -> np.ndarray:

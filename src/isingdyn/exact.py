@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import DynamicsSpec, components
+from .dynamics import M_CLUSTER_LIMIT, N_DIRECT_LIMIT, DynamicsSpec, components
 from .graph import Graph
 from .ising import (
     UP_SET_N_LIMIT,
@@ -50,8 +50,6 @@ __all__ = [
     "censored_dominance",
 ]
 
-N_DIRECT_LIMIT = 10
-M_CLUSTER_LIMIT = 14
 MAX_OPERATOR_STATES = 1 << 14
 REV_TOL = 1e-9
 F_CHUNK = 1024
@@ -84,8 +82,7 @@ def _edge_masks(G: Graph):
 @lru_cache(maxsize=64)
 def _subgraph_components(G: Graph) -> np.ndarray:
     """Read-only cm[F, v]: vertex bitmask of v's component in (V, F)."""
-    roots = np.array([components(G, [(F >> i) & 1 for i in range(G.m)])
-                      for F in range(1 << G.m)])
+    roots = components(G, (np.arange(1 << G.m)[:, None] >> np.arange(G.m)) & 1)
     cm = np.zeros_like(roots)
     for u in range(G.n):
         cm[roots == roots[:, u, None]] |= 1 << u

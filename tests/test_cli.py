@@ -1,6 +1,7 @@
 """Command-line driver: flags, config precedence, outputs, exit codes."""
 
 import json
+import os
 import time
 
 import pytest
@@ -88,6 +89,7 @@ class TestSample:
 
 
 IV = ["--dynamics", '{"kind": "iv"}']
+UNWRITABLE = os.path.join(os.devnull, "out.csv")  # its parent is a file, not a directory
 
 
 class TestInvalidInput:
@@ -127,13 +129,20 @@ class TestInvalidInput:
           '{"kind": "iv", "censor": "01"}'], {}),
         (["verify", "--graph", "path(3)", "--beta", "0.3", "--dynamics",
           '{"kind": "glauber", "censr": [0]}'], {}),
+        (["couple", "--graph", "cycle(8)", "--beta", "0.3", "--out", UNWRITABLE] + IV, {}),
+        (["sample", "--graph", "cycle(8)", "--beta", "0.3", "--steps", "1000000",
+          "--out", UNWRITABLE] + IV, {}),
+        (["verify", "--graph", "cycle(8)", "--beta", "0.3", "--out", UNWRITABLE] + IV, {}),
+        (["gap", "--beta", "0.3", "--sizes", "10", "--out", UNWRITABLE], {}),
+        (["assm", "--graph", "grid(5,5)", "--beta", "0.2", "--out", UNWRITABLE], {}),
     ], ids=["negative-seed", "negative-seed-couple", "env-seed-abc", "gap-size-11",
             "beta-nan", "beta-negative", "t-max-0", "seeds-0", "eps-0",
             "dynamics-not-object", "censored-glauber", "grid-one-arg",
             "random-regular-two-args", "assm-grid-one-arg", "seed-abc",
             "gap-family-grid", "format-csv", "random-regular-999", "random-regular-1999",
             "group-option", "float-block", "float-censor", "float-censor-verify",
-            "bool-censor", "string-censor", "misspelt-key"])
+            "bool-censor", "string-censor", "misspelt-key", "out-couple", "out-sample",
+            "out-verify", "out-gap", "out-assm"])
     def test_exit2_one_line(self, argv, env):
         start = time.perf_counter()
         res = runner.invoke(main, argv, env=env)

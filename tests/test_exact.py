@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from isingdyn import dynamics, exact
 from isingdyn.dynamics import DynamicsSpec
 from isingdyn.exact import (
     M_CLUSTER_LIMIT,
@@ -174,6 +175,30 @@ def block_shapes(n):
         "pairs": tuple(frozenset({v, min(v + 1, n - 1)}) for v in range(n)),
         "whole": (frozenset(range(n)),),
     }
+
+
+class TestSubgraphComponents:
+    def test_one_components_call_matches_flood_fill(self, monkeypatch):
+        shapes = []
+
+        def counted(G, F_mask):
+            shapes.append(np.shape(F_mask))
+            return dynamics.components(G, F_mask)
+        monkeypatch.setattr(exact, "components", counted)
+        G = random_regular(6, 3, 3)
+        _subgraph_components.cache_clear()
+        cm = _subgraph_components(G)
+        assert shapes == [(1 << G.m, G.m)]
+        for F in range(1 << G.m):
+            for v in range(G.n):
+                comp, todo = {v}, [v]
+                while todo:
+                    x = todo.pop()
+                    for i, (a, b) in enumerate(G.edges):
+                        if (F >> i) & 1 and x in (a, b) and (y := a + b - x) not in comp:
+                            comp.add(y)
+                            todo.append(y)
+                assert cm[F, v] == sum(1 << u for u in comp)
 
 
 class TestTransitionMatrix:
