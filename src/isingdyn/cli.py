@@ -32,6 +32,9 @@ SEED_ENV = "ISINGDYN_SEED"
 SEED_MAX = (1 << 63) - 1
 
 _GEN_RE = re.compile(r"^(\w+)\(([-\d,\s]*)\)$")
+# Each config value's JSON type (null leaves it unset): a number unless named here.
+_CONFIG_TYPES = {"graph": str, "family": str, "out": str, "dynamics": (str, dict),
+                 "sizes": (str, int)}
 
 
 def parse_graph(spec: str) -> Graph:
@@ -64,8 +67,12 @@ class Settings:
                 _fail_invalid(f"config {config_path}: {exc}")
             if not isinstance(cfg, dict):
                 _fail_invalid(f"config {config_path}: not a JSON object")
-            for key in sorted(set(cfg) - set(flags)):
-                _fail_invalid(f"config {config_path}: this command takes no {key!r}")
+            for key, value in sorted(cfg.items()):
+                if key not in flags:
+                    _fail_invalid(f"config {config_path}: this command takes no {key!r}")
+                if isinstance(value, bool) or not isinstance(
+                        value, (_CONFIG_TYPES.get(key, (int, float)), type(None))):
+                    _fail_invalid(f"config {config_path}: {key} has the wrong JSON type")
         self.values = dict(cfg)
         for k, v in flags.items():
             if v is not None:
@@ -94,7 +101,7 @@ class Settings:
     def beta(self) -> float:
         try:
             beta = float(self.require("beta"))
-        except (TypeError, ValueError):
+        except OverflowError:  # an integer past the float range
             beta = math.nan
         if not (math.isfinite(beta) and beta >= 0.0):
             _fail_invalid(f"beta must be a finite number >= 0, got {self.get('beta')!r}")
@@ -340,7 +347,7 @@ def verify(config, **flags):
         eps = float(s.get("eps", 0.25))
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    except (GraphError, TypeError, ValueError) as exc:
+    except (GraphError, OverflowError, TypeError, ValueError) as exc:
         _fail_invalid(str(exc))
     beta = s.beta()
     with _open_out(s) as fh:

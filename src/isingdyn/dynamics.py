@@ -188,10 +188,9 @@ def iv_step(G: Graph, beta: float, spins, draws: StepDraws,
     spins = np.asarray(spins, dtype=np.int8)
     F = percolate(G, spins, beta, draws.edge_uniforms)
     u, w = G.endpoint_arrays()
-    deg = np.zeros(G.n, dtype=np.int64)
-    np.add.at(deg, u[F], 1)
-    np.add.at(deg, w[F], 1)
-    isolated = (deg == 0) & _in_A(G.n, A)
+    isolated = _in_A(G.n, A)
+    isolated[u[F]] = False
+    isolated[w[F]] = False
     out = spins.copy()
     out[isolated] = draws.vertex_spins[isolated]
     return out

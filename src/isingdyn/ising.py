@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .graph import Graph, distances
 
@@ -94,7 +93,11 @@ def gibbs_exact(G: Graph, beta: float) -> GibbsTable:
         raise ValueError(f"n={G.n} exceeds enumeration limit {ENUM_LIMIT}")
     codes = np.arange(1 << G.n, dtype=np.int64)
     logw = beta * _agreement_sum(G, codes).astype(np.float64)
-    logZ = float(logsumexp(logw))
+    top = logw.max()
+    k = np.count_nonzero(logw == top)
+    r = np.exp(logw - top)
+    r[logw == top] = 0.0  # zeroed, not dropped: bit for bit scipy's logsumexp
+    logZ = float(np.log1p(r.sum() / k) + np.log(k) + top)
     return GibbsTable(probs=np.exp(logw - logZ), logZ=logZ)
 
 

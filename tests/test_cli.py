@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -90,6 +92,16 @@ class TestSample:
 
 IV = ["--dynamics", '{"kind": "iv"}']
 UNWRITABLE = os.path.join(os.devnull, "out.csv")  # its parent is a file, not a directory
+IV_CFG = {"dynamics": {"kind": "iv"}}
+SRC = os.path.dirname(os.path.dirname(cli.__file__))  # the directory holding isingdyn
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, isingdyn, isingdyn.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 class TestInvalidInput:
@@ -189,6 +201,48 @@ class TestInvalidInput:
                                    "dynamics": {"kind": "iv"}, "t_max": 2.5}))
         res = runner.invoke(main, ["couple", "--config", str(cfg)])
         assert res.exit_code == 2 and "t_max" in res.stderr
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("sample", {"graph": 5}), ("couple", {"graph": 5}), ("verify", {"graph": 5}),
+        ("assm", {"graph": 5}), ("gap", {"family": ["cycle"]}), ("gap", {"sizes": True}),
+        ("sample", {"out": ["x"]}), ("couple", {"seeds": True}),
+        ("couple", {"t_max": True}), ("sample", {"beta": True}),
+        ("sample", {"steps": "3"}), ("verify", {"eps": True}),
+        ("sample", {"dynamics": 5}), ("sample", {"beta": 10**400}),
+        ("verify", {"eps": 10**400}),
+    ], ids=["graph-int-sample", "graph-int-couple", "graph-int-verify", "graph-int-assm",
+            "family-list", "sizes-bool", "out-list", "seeds-bool", "t-max-bool",
+            "beta-bool", "steps-string", "eps-bool", "dynamics-int", "beta-huge-int",
+            "eps-huge-int"])
+    def test_config_value_of_wrong_type(self, tmp_path, command, cfg):
+        base = {"beta": 0.5, "sizes": "4"} if command == "gap" else {
+            "graph": "cycle(4)", "beta": 0.5, **({} if command == "assm" else IV_CFG)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**base, **cfg}))
+        res = runner.invoke(main, [command, "--config", str(path)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert res.stdout == ""
+
+    def test_config_out_number_writes_nothing(self, tmp_path):
+        # open(1) would write the CSV to file descriptor 1 and close it; run in a
+        # child so that a failure cannot close this process's stdout
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"graph": "cycle(4)", "beta": 0.5, "out": 1,
+                                    **IV_CFG}))
+        res = subprocess.run([sys.executable, "-m", "isingdyn.cli", "couple",
+                              "--config", str(path)], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC})
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            f"error: config {path}: out has the wrong JSON type"]
+
+    def test_config_sizes_integer_still_taken(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"beta": 0.3, "sizes": 4}))
+        res = runner.invoke(main, ["gap", "--config", str(path)])
+        assert res.exit_code == 0 and res.output.splitlines()[1].startswith("4,")
 
     def test_no_arguments_show_help(self):
         # only options become one-line errors: a bare call keeps click's help screen

@@ -142,6 +142,22 @@ def loop_msw_step_alt(G, beta, spins, draws, A=None):
     return out
 
 
+def degree_iv_step(G, beta, spins, draws, A=None):
+    """iv_step as it was, counting each vertex's degree in F with np.add.at:
+    the oracle for marking F's endpoints in the censor mask."""
+    spins = np.asarray(spins, dtype=np.int8)
+    F = percolate(G, spins, beta, draws.edge_uniforms)
+    u, w = G.endpoint_arrays()
+    deg = np.zeros(G.n, dtype=np.int64)
+    np.add.at(deg, u[F], 1)
+    np.add.at(deg, w[F], 1)
+    isolated = (deg == 0) & (np.ones(G.n, dtype=bool) if A is None
+                             else np.isin(np.arange(G.n), list(A)))
+    out = spins.copy()
+    out[isolated] = draws.vertex_spins[isolated]
+    return out
+
+
 def bfs_roots(G, F_mask):
     """Smallest vertex reachable from each v over the edges of F."""
     adj = [[] for _ in range(G.n)]
@@ -273,6 +289,13 @@ class TestRootArrayProperties:
         G, beta, spins, d, A = case
         assert_identical(msw_step(G, beta, spins, d, A),
                          loop_msw_step(G, beta, spins, d, A))
+
+    @settings(max_examples=200)
+    @given(cluster_cases())
+    def test_iv_step_matches_degree_count(self, case):
+        G, beta, spins, d, A = case
+        assert_identical(iv_step(G, beta, spins, d, A),
+                         degree_iv_step(G, beta, spins, d, A))
 
 
 def loop_block_step(G, beta, spins, blocks, draws, A=None):

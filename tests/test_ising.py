@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from isingdyn.graph import Graph, complete_tree, cycle, distances, grid, path, sphere
+from isingdyn.graph import (Graph, complete_tree, cycle, distances, grid, path,
+                            random_regular, sphere)
 from isingdyn.ising import (
     ENUM_LIMIT,
     FeasibilityError,
@@ -61,6 +62,15 @@ class TestEncoding:
         assert list(decode_spins(code, len(spins))) == spins
 
 
+@st.composite
+def complete_subgraphs(draw, max_n=10):
+    """A random edge subset of K_n, n <= max_n (n = 0 included)."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n=n, edges=tuple(itertools.compress(pairs, keep)))
+
+
 class TestGibbsExact:
     def test_beta0_uniform(self):
         t = gibbs_exact(TRIANGLE, 0.0)
@@ -90,6 +100,35 @@ class TestGibbsExact:
     def test_limit(self):
         with pytest.raises(ValueError):
             gibbs_exact(cycle(21), 0.1)
+
+    @settings(max_examples=100)
+    @given(complete_subgraphs(),
+           st.sampled_from([0.0, -0.4, 0.37, 7.0]) | st.floats(-3.0, 3.0))
+    @example(Graph(n=0, edges=()), 0.8)
+    @example(Graph(n=1, edges=()), -0.4)
+    @example(cycle(10), 0.0)  # every term ties with the largest
+    @example(Graph(n=10, edges=tuple(itertools.combinations(range(10), 2))), -0.4)
+    def test_logZ_matches_fsum(self, G, beta):
+        logw = [beta * sum(1 if (x >> u & 1) == (x >> w & 1) else -1 for u, w in G.edges)
+                for x in range(1 << G.n)]
+        top = max(logw)
+        logZ = top + math.log(math.fsum(math.exp(lw - top) for lw in logw))
+        t = gibbs_exact(G, beta)
+        assert abs(t.logZ - logZ) <= 1e-12
+        assert np.allclose(t.probs, np.exp(np.array(logw) - logZ), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("G,beta,bits", [
+        (cycle(4), 1.0, "0x1.330dbdf641ff6p+2"),
+        (path(3), 0.1, "0x1.0b724697f85b1p+1"),
+        (grid(2, 3), 0.1, "0x1.0c6ae06131f71p+2"),
+        (cycle(5), 0.2, "0x1.c85e3ba762b3dp+1"),
+        (random_regular(8, 3, 1), -0.4, "0x1.a0661f5e181bbp+2"),
+        (path(6), 1.0, "0x1.94fa77506cbd1p+2"),
+    ], ids=["cycle4", "path3", "grid2x3", "cycle5", "cubic8", "path6"])
+    def test_logZ_bits_pinned(self, G, beta, bits):
+        # the bits scipy.special.logsumexp (scipy 1.17.1) gives; dropping the
+        # tied terms, or summing all terms at once, moves a last bit
+        assert gibbs_exact(G, beta).logZ == float.fromhex(bits)
 
     def test_matches_direct_weights(self):
         G = path(4)
