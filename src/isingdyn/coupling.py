@@ -14,7 +14,9 @@ import numpy as np
 
 from .dynamics import DynamicsSpec, step
 from .graph import Graph
-from .randomness import SharedRandomness, sequential_draws
+# sequential_draws stays bound here: it is the per-step form of the blocks
+# the audit reads, and perfbench's tracer wraps it at every binding
+from .randomness import SharedRandomness, draw_block, sequential_draws  # noqa: F401
 
 __all__ = [
     "CouplingResult",
@@ -70,19 +72,25 @@ def monotonicity_audit(G: Graph, beta: float, spec: DynamicsSpec, trials: int,
     grand-coupled steps; a violation is any step after which upper >= lower
     fails. Expected 0 for the monotone kernels. With broken=True the two
     copies consume independent randomness (negative control; violations
-    are expected).
+    are expected). An audit of no trials or no steps is refused, since it
+    would report 0 violations for work it did not do.
     """
     if not spec.is_monotone():
         raise ValueError(f"{spec.kind} dynamics is not monotone-capable")
+    if trials <= 0 or steps <= 0:
+        raise ValueError(f"an audit needs trials >= 1 and steps >= 1, "
+                         f"not trials={trials}, steps={steps}")
     spec.validate_for(G)
     violations = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((0xA0D1, seed, trial)))
         rng2 = np.random.default_rng(np.random.SeedSequence((0xBAD1, seed, trial)))
         lower, upper = random_comparable_pair(G.n, rng)
-        for _ in range(steps):
-            draws = sequential_draws(rng, G.n, G.m)
-            draws2 = sequential_draws(rng2, G.n, G.m) if broken else draws
+        # each copy's steps are the sequential_draws of its generator
+        block = draw_block(rng, G.n, G.m, steps)
+        block2 = draw_block(rng2, G.n, G.m, steps) if broken else None
+        for draws in block:
+            draws2 = next(block2) if broken else draws
             upper = step(G, beta, spec, upper, draws)
             lower = step(G, beta, spec, lower, draws2)
             if np.any(upper < lower):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Graph
 from .ising import ENUM_LIMIT, conditional_marginal
-from .randomness import StepDraws, sequential_draws
+from .randomness import StepDraws, draw_block
 
 __all__ = [
     "DynamicsSpec",
@@ -281,15 +281,23 @@ def run_chain(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
 
     Returns (final_state, collected) where collected holds a copy of the
     state every `collect_every` steps (after the step) once at least
-    `collect_after` steps have run, or [] when collect_every is 0.
+    `collect_after` steps have run, or [] when collect_every is 0. Step t
+    reads the t-th sequential_draws of the chain's generator, through
+    draw_block. start, when given, is n spins of +1 or -1.
     """
     spec.validate_for(G)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, not {steps}")
+    if start is None:
+        spins = np.full(G.n, 1, dtype=np.int8)
+    else:
+        spins = np.array(start)
+        if spins.shape != (G.n,) or not np.isin(spins, (-1, 1)).all():
+            raise ValueError(f"start must be {G.n} spins, each +1 or -1")
+        spins = spins.astype(np.int8)
     rng = np.random.default_rng(np.random.SeedSequence((0xD1CE, seed)))
-    spins = (np.full(G.n, 1, dtype=np.int8) if start is None
-             else np.asarray(start, dtype=np.int8).copy())
     collected = []
-    for t in range(steps):
-        draws = sequential_draws(rng, G.n, G.m)
+    for t, draws in enumerate(draw_block(rng, G.n, G.m, steps)):
         spins = step(G, beta, spec, spins, draws)
         if collect_every and t + 1 > collect_after \
                 and (t + 1 - collect_after) % collect_every == 0:

@@ -27,7 +27,7 @@ from isingdyn.exact import (
 )
 from isingdyn.graph import Graph, complete_tree, cycle, path, random_regular
 from isingdyn.ising import beta_c, encode_spins, gibbs_exact
-from isingdyn.randomness import sequential_draws
+from isingdyn.randomness import draw_block
 from isingdyn.ssm import find_assm_radius
 
 EDGE = Graph(n=2, edges=((0, 1),))
@@ -253,8 +253,9 @@ def test_criterion_11_sampling_tv():
         rng = np.random.default_rng(np.random.SeedSequence((0xACC, 11, i)))
         spins = np.ones(2, dtype=np.int8)
         counts = np.zeros(4)
-        for t in range(burnin + n_samples):
-            spins = step(EDGE, beta, spec, spins, sequential_draws(rng, 2, 1))
+        # step t reads the t-th sequential_draws(rng, 2, 1), in blocks
+        for t, draws in enumerate(draw_block(rng, 2, 1, burnin + n_samples)):
+            spins = step(EDGE, beta, spec, spins, draws)
             if t >= burnin:
                 counts[encode_spins(spins)] += 1
         tv = 0.5 * np.abs(counts / n_samples - mu).sum()

@@ -12,7 +12,7 @@ from isingdyn.dynamics import DynamicsSpec, block_step, iv_step, msw_step_alt, s
 from isingdyn.exact import transition_matrix
 from isingdyn.graph import Graph, cycle, path
 from isingdyn.ising import encode_spins, leq
-from isingdyn.randomness import SharedRandomness
+from isingdyn.randomness import SharedRandomness, sequential_draws
 
 EDGE = Graph(n=2, edges=((0, 1),))
 
@@ -141,6 +141,32 @@ class TestMonotonicityAudit:
     def test_sw_rejected(self):
         with pytest.raises(ValueError):
             monotonicity_audit(EDGE, 0.5, DynamicsSpec("sw"), 1, 1, 0)
+
+    @pytest.mark.parametrize("trials, steps", [(0, 10), (-3, 10), (10, 0), (10, -1)])
+    def test_empty_audit_refused(self, trials, steps):
+        # an audit that steps nothing must not report 0 violations
+        with pytest.raises(ValueError, match="trials >= 1 and steps >= 1"):
+            monotonicity_audit(cycle(8), 0.4, DynamicsSpec("iv"), trials, steps, 0)
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_counts_equal_sequential_audit(self, broken):
+        # the audit's blocks reproduce one sequential_draws call per step
+        G, spec, trials, steps = cycle(7), DynamicsSpec("iv"), 40, 25
+        want = 0
+        for trial in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence((0xA0D1, 3, trial)))
+            rng2 = np.random.default_rng(np.random.SeedSequence((0xBAD1, 3, trial)))
+            lower, upper = random_comparable_pair(G.n, rng)
+            for _ in range(steps):
+                d = sequential_draws(rng, G.n, G.m)
+                d2 = sequential_draws(rng2, G.n, G.m) if broken else d
+                upper = step(G, 0.9, spec, upper, d)
+                lower = step(G, 0.9, spec, lower, d2)
+                if np.any(upper < lower):
+                    want += 1
+                    break
+        assert monotonicity_audit(G, 0.9, spec, trials, steps, 3, broken=broken) == want
+        assert want > 0 if broken else want == 0
 
 
 class TestComparablePairs:

@@ -28,10 +28,12 @@ from isingdyn.dynamics import (
 from isingdyn.exact import transition_matrix
 from isingdyn.graph import Graph, cycle, path, random_regular
 from isingdyn.ising import ENUM_LIMIT, conditional_marginal, encode_spins
+from isingdyn import randomness
 from isingdyn.randomness import (
     _STREAM_TAG,
     SharedRandomness,
     StepDraws,
+    draw_block,
     sequential_draws,
 )
 
@@ -629,6 +631,94 @@ class TestRunChain:
         out, _ = run_chain(G, 0.4, DynamicsSpec("iv", censor=frozenset()),
                            5, seed=0, start=start)
         assert np.array_equal(out, start)
+
+    @staticmethod
+    def sequential_chain(G, spec, steps, seed):
+        """The chain with one sequential_draws call per step (the oracle)."""
+        rng = np.random.default_rng(np.random.SeedSequence((0xD1CE, seed)))
+        spins = np.ones(G.n, dtype=np.int8)
+        states = []
+        for _ in range(steps):
+            spins = step(G, 0.4, spec, spins, sequential_draws(rng, G.n, G.m))
+            states.append(spins)
+        return states
+
+    @pytest.mark.parametrize("G, kind", [(EDGE, "sw"), (path(3), "msw"), (cycle(5), "iv")])
+    def test_equals_sequential_draws_across_blocks(self, G, kind, monkeypatch):
+        spec = DynamicsSpec(kind)
+        # the default budget: EDGE reads 819 steps per block, path(3) 512, cycle(5) 292
+        steps = 2000 if G.n < 3 else 1200
+        _, got = run_chain(G, 0.4, spec, steps, seed=7, collect_every=1)
+        assert np.array_equal(got, self.sequential_chain(G, spec, steps, 7))
+        # a 40-word budget puts many boundaries, some on a buffered half
+        monkeypatch.setattr(randomness, "_BLOCK_WORDS", 40)
+        _, got = run_chain(G, 0.4, spec, 101, seed=8, collect_every=1)
+        assert np.array_equal(got, self.sequential_chain(G, spec, 101, 8))
+
+    @pytest.mark.parametrize("start", [[0, 1, 1, 1], [2, -1, 1, 1], [1, 1, 1],
+                                       [1, 1, 1, 1, 1], [[1, 1], [1, 1]], 1])
+    def test_bad_start_refused(self, start):
+        with pytest.raises(ValueError, match="start must be 4 spins"):
+            run_chain(cycle(4), 0.4, DynamicsSpec("iv"), 5, seed=0, start=start)
+
+    def test_negative_steps_refused(self):
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            run_chain(cycle(4), 0.4, DynamicsSpec("iv"), -1, seed=0)
+
+    def test_zero_steps_returns_start(self):
+        start = [1, -1, 1, -1]
+        out, collected = run_chain(cycle(4), 0.4, DynamicsSpec("iv"), 0, seed=0,
+                                   start=start, collect_every=1)
+        assert list(out) == start and collected == []
+
+
+class TestDrawBlock:
+    """draw_block against successive sequential_draws calls (the oracle)."""
+
+    @staticmethod
+    def check(make, n, m, T, pre):
+        a, b = make(), make()
+        if pre:  # an odd count leaves a 32-bit half buffered
+            a.integers(0, 2, size=pre)
+            b.integers(0, 2, size=pre)
+        want = [sequential_draws(a, n, m) for _ in range(T)]
+        got = list(draw_block(b, n, m, T))
+        assert len(got) == T
+        for g, w in zip(got, want):
+            TestSharedRandomness.assert_same_draws(g, w)
+        sa, sb = a.bit_generator.state, b.bit_generator.state
+        assert sa["has_uint32"] == sb["has_uint32"]
+        if sa["has_uint32"]:  # without a buffered half, uinteger is stale
+            assert sa["uinteger"] == sb["uinteger"]
+        for key in ("bit_generator", "state"):
+            assert repr(sa[key]) == repr(sb[key])
+        assert a.random() == b.random()
+        assert np.array_equal(a.integers(0, 2, size=3), b.integers(0, 2, size=3))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_sequential_draws(self, n):
+        for m in (0, 1, 2, 3, 7, 14):
+            for T in (1, 2, 3, 5, 100):
+                for pre in (0, 1, 2, 3):
+                    self.check(lambda: np.random.default_rng((n, m, T)), n, m, T, pre)
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (5, 4), (8, 8)])
+    def test_philox_and_empty_fields(self, n, m):
+        for pre in (0, 1):
+            self.check(lambda: np.random.Generator(np.random.Philox(n + m)), n, m, 7, pre)
+            self.check(lambda: np.random.default_rng(n + m), n, m, 7, pre)
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (3, 2), (8, 12), (9, 9)])
+    def test_block_boundaries(self, n, m, monkeypatch):
+        monkeypatch.setattr(randomness, "_BLOCK_WORDS", 3 * (m + n + 1))
+        for pre in (0, 1):
+            self.check(lambda: np.random.default_rng(n), n, m, 50, pre)
+
+    def test_zero_steps_draw_nothing(self):
+        rng = np.random.default_rng(3)
+        before = repr(rng.bit_generator.state)
+        assert list(draw_block(rng, 4, 4, 0)) == []
+        assert repr(rng.bit_generator.state) == before
 
 
 class TestSharedRandomness:

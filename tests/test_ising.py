@@ -14,6 +14,7 @@ from isingdyn.ising import (
     ENUM_LIMIT,
     FeasibilityError,
     _enum_marginals,
+    _logaddexp,
     beta_c,
     clamped_marginals,
     conditional_marginal,
@@ -434,6 +435,35 @@ class TestOneWalk:
         want = loop_clamped_marginals(G, beta, v, clamp)
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
+
+
+class TestFloatLogaddexp:
+    """The math transcription of np.logaddexp used on tree messages."""
+
+    def test_same_bits_as_numpy(self):
+        rng = np.random.default_rng(0x10AE)
+        x = np.concatenate([rng.normal(0, 5, 60_000), rng.normal(0, 1e3, 20_000),
+                            rng.uniform(-40, 40, 30_000)])
+        y = np.concatenate([rng.normal(0, 5, 60_000), rng.normal(0, 1e3, 20_000),
+                            rng.uniform(-40, 40, 30_000)])
+        y[:5000] = x[:5000]                                   # ties
+        y[5000:10_000] = np.nextafter(x[5000:10_000], np.inf)  # near ties
+        y[10_000:15_000] = x[10_000:15_000] + rng.choice([-1, 1], 5000) * 800  # exp underflows
+        special = [0.0, -0.0, 1.0, -1.0, 745.0, -745.0, 1e308, -1e308,
+                   5e-324, np.inf, -np.inf, np.nan]
+        a, b = zip(*itertools.product(special, repeat=2))
+        x, y = np.concatenate([x, a]), np.concatenate([y, b])
+        with np.errstate(over="ignore", invalid="ignore"):  # the special pairs
+            want = np.logaddexp(x, y)
+        got = np.array([_logaddexp(p, q) for p, q in zip(x.tolist(), y.tolist())])
+        assert len(x) >= 10**5
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_arrays_and_types(self):
+        assert type(_logaddexp(0.5, -0.25)) is float
+        got = _logaddexp(np.array([0.5, 1.0]), 0.25)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, np.logaddexp(np.array([0.5, 1.0]), 0.25))
 
 
 def code_leq(x: int, y: int) -> bool:
