@@ -222,7 +222,7 @@ def glauber_step(G: Graph, beta: float, spins, draws: StepDraws) -> np.ndarray:
     is the standard monotone grand coupling for Glauber.
     """
     spins = np.asarray(spins, dtype=np.int8)
-    v = draws.vertex_index(G.n)
+    v = draws.block_index(G.n)
     S = int(sum(spins[u] for u in G.adjacency[v]))
     p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * S))
     out = spins.copy()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -79,15 +78,10 @@ def _edge_masks(G: Graph):
     return masks
 
 
-@lru_cache(maxsize=64)
 def _subgraph_components(G: Graph) -> np.ndarray:
-    """Read-only cm[F, v]: vertex bitmask of v's component in (V, F)."""
+    """cm[F, v]: vertex bitmask of v's component in (V, F), derived per call."""
     roots = components(G, (np.arange(1 << G.m)[:, None] >> np.arange(G.m)) & 1)
-    cm = np.zeros_like(roots)
-    for u in range(G.n):
-        cm[roots == roots[:, u, None]] |= 1 << u
-    cm.flags.writeable = False
-    return cm
+    return (roots[:, :, None] == roots[:, None, :]) @ (1 << np.arange(G.n))
 
 
 def _vertex_mask(A: frozenset | None, n: int) -> int:
@@ -217,9 +211,11 @@ def spectral_report(P: np.ndarray, mu: np.ndarray,
                     tol: float = REV_TOL) -> SpectralReport:
     """Eigenvalues via the similarity transform with sqrt-stationary weights.
 
-    Requires reversibility (checked); the transformed matrix is symmetric,
-    so the spectrum is real.
+    Requires mu > 0 and reversibility (both checked); the transformed
+    matrix is symmetric, so the spectrum is real.
     """
+    if not np.all(mu > 0.0):
+        raise ValueError("mu has states of zero mass, so sqrt(mu) cannot weigh them")
     resid = check_reversibility(P, mu)
     if resid > tol:
         raise ValueError(f"kernel not reversible: residual {resid:.3e}")

@@ -85,7 +85,7 @@ class GibbsTable:
 
     def __post_init__(self):
         s = float(self.probs.sum())
-        if abs(s - 1.0) > 1e-12:
+        if not abs(s - 1.0) <= 1e-12:  # NaN weights fail too
             raise ValueError(f"Gibbs table sums to {s}, not 1")
 
 

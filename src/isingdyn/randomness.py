@@ -70,10 +70,8 @@ class StepDraws:
     selector: float             # uniform in [0,1) for block/vertex choice
 
     def block_index(self, r: int) -> int:
+        """The selector's index in [0, r): a block, or Glauber's vertex."""
         return min(int(self.selector * r), r - 1)
-
-    def vertex_index(self, n: int) -> int:
-        return min(int(self.selector * n), n - 1)
 
 
 class SharedRandomness:

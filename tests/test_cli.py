@@ -104,6 +104,23 @@ def test_import_loads_no_scipy():
     assert res.stdout.strip() == "[]"
 
 
+def test_cache_inventory():
+    # each exact object is held once: a second per-graph table must show up here
+    import importlib
+    import pkgutil
+
+    import isingdyn
+    caches = {}
+    for info in pkgutil.iter_modules(isingdyn.__path__):
+        mod = importlib.import_module(f"isingdyn.{info.name}")
+        for owner in [mod] + [c for c in vars(mod).values() if isinstance(c, type)]:
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__:
+                    caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert caches == {"dynamics._subset_roots": 64, "randomness._block_map": 16,
+                      "ising._up_set_indicators": None}
+
+
 class TestInvalidInput:
     """Bad input exits 2 with one "error:" line and no traceback."""
 
@@ -533,6 +550,49 @@ class TestVerify:
                 if c["check"] == "sw_iv_comparison"]
         assert c["ok"] and c["gap_sw"] >= c["gap_iv"]
 
+    @staticmethod
+    def counted_builds(monkeypatch):
+        from isingdyn import exact
+        specs = []
+        real = exact.transition_matrix
+
+        def counted(G, beta, spec):
+            specs.append(spec)
+            return real(G, beta, spec)
+
+        monkeypatch.setattr(exact, "transition_matrix", counted)
+        return specs
+
+    def test_uncensored_builds_no_P_V(self, monkeypatch):
+        # P_V equals P, so there is nothing for the censoring order to compare
+        specs = self.counted_builds(monkeypatch)
+        res = runner.invoke(main, ["verify", "--graph", "path(3)", "--beta", "0.4"] + IV)
+        assert res.exit_code == 0
+        assert [s.kind for s in specs if s.kind == "iv"] == ["iv", "iv"]
+        assert all(s.censor is None for s in specs)
+        checks = {c["check"]: c for c in json.loads(res.output)["checks"]}
+        assert checks["censoring_order"]["skipped"] == "P_A = P: nothing to compare"
+        assert checks["sw_iv_comparison"]["ok"] and checks["tv_mixing_time"]["value"]
+
+    def test_censored_checks_order_on_its_own_kernel(self, monkeypatch):
+        from isingdyn.exact import check_censoring_order
+        from isingdyn.graph import path
+        A = frozenset({0})
+        specs = self.counted_builds(monkeypatch)
+        res = runner.invoke(main, ["verify", "--graph", "path(3)", "--beta", "0.4",
+                                   "--dynamics", '{"kind": "iv", "censor": [0]}'])
+        assert res.exit_code == 0, res.output
+        iv = [s.censor for s in specs if s.kind == "iv"]
+        assert sorted(iv, key=lambda a: a is None) == [A, A, None]
+        checks = {c["check"]: c for c in json.loads(res.output)["checks"]}
+        monkeypatch.undo()
+        assert checks["censoring_order"]["ok"] is check_censoring_order(
+            path(3), 0.4, "iv", A)
+        # the censored chain never moves vertices 1 and 2: nothing to mix
+        for name in ("tv_mixing_time", "sw_iv_comparison"):
+            assert checks[name]["skipped"].startswith("censored to a proper subset")
+        assert checks["spectral_gap"]["value"] == pytest.approx(0.0, abs=1e-12)
+
     def test_check_failed_logic(self):
         assert _check_failed({"check": "x", "residual": 1e-3, "tolerance": 1e-10})
         assert not _check_failed({"check": "x", "residual": 0.0, "tolerance": 1e-10})
@@ -552,6 +612,18 @@ class TestGap:
         for line in lines[1:]:
             n, g_sw, g_iv, *_ = line.split(",")
             assert float(g_sw) >= float(g_iv) - 1e-9
+
+    def test_engine_error_exits_2_before_out(self, tmp_path):
+        # at beta = 200 all but two states of cycle(4) have Gibbs mass 0
+        out = tmp_path / "gaps.csv"
+        res = subprocess.run([sys.executable, "-m", "isingdyn.cli", "gap", "--beta", "200",
+                              "--sizes", "4", "--out", str(out)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert res.returncode == 2 and res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: mu has states of zero mass")
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
     def test_beta0_gap_one(self):
         res = runner.invoke(main, ["gap", "--beta", "0.0",

@@ -736,7 +736,7 @@ class TestSharedRandomness:
     def test_selector_indexing(self):
         d = StepDraws(np.zeros(1), np.ones(2, dtype=np.int8), np.zeros(2), 0.999)
         assert d.block_index(3) == 2
-        assert d.vertex_index(5) == 4
+        assert d.block_index(5) == 4  # glauber_step's vertex
 
     @staticmethod
     def assert_same_draws(got, want):

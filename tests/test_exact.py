@@ -178,6 +178,15 @@ def block_shapes(n):
 
 
 class TestSubgraphComponents:
+    def test_derived_per_call_not_cached(self):
+        # the roots table in dynamics is the one per-graph subset table
+        assert not hasattr(_subgraph_components, "cache_info")
+        G = path(3)
+        first = _subgraph_components(G)
+        assert first.flags.writeable
+        assert first is not _subgraph_components(G)
+        assert np.array_equal(first, _subgraph_components(G))
+
     def test_one_components_call_matches_flood_fill(self, monkeypatch):
         shapes = []
 
@@ -186,7 +195,6 @@ class TestSubgraphComponents:
             return dynamics.components(G, F_mask)
         monkeypatch.setattr(exact, "components", counted)
         G = random_regular(6, 3, 3)
-        _subgraph_components.cache_clear()
         cm = _subgraph_components(G)
         assert shapes == [(1 << G.m, G.m)]
         for F in range(1 << G.m):
@@ -348,6 +356,17 @@ class TestSpectral:
         P = np.roll(np.eye(4), 1, axis=1)
         with pytest.raises(ValueError):
             spectral_report(P, np.full(4, 0.25))
+
+    def test_zero_mass_state_rejected(self):
+        # at beta = 200 on cycle(4) every state but the two ground states
+        # underflows to mass 0, and sqrt(mu) would divide by it
+        mu = np.array([0.5, 0.0, 0.0, 0.5])
+        with pytest.raises(ValueError, match="zero mass"):
+            spectral_report(np.tile(mu, (4, 1)), mu)
+        tm = transition_matrix(cycle(4), 200.0, DynamicsSpec("iv"))
+        assert np.count_nonzero(tm.mu) == 2
+        with pytest.raises(ValueError, match="zero mass"):
+            spectral_report(tm.P, tm.mu)
 
 
 def worst_row_tv(Pt, mu):

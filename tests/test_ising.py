@@ -102,6 +102,11 @@ class TestGibbsExact:
         with pytest.raises(ValueError):
             gibbs_exact(cycle(21), 0.1)
 
+    def test_overflowed_weights_rejected(self):
+        # beta * 4 overflows to inf, so logZ = inf and every probability is NaN
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="nan"):
+            gibbs_exact(cycle(4), 1e308)
+
     @settings(max_examples=100)
     @given(complete_subgraphs(),
            st.sampled_from([0.0, -0.4, 0.37, 7.0]) | st.floats(-3.0, 3.0))
