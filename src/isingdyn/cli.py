@@ -214,8 +214,11 @@ def sample(config, **flags):
     burnin = s.count("burnin", 0, 0)
     seed = s.seed()
     with _open_out(s) as fh:
-        final, collected = run_chain(G, beta, spec, burnin + steps, seed,
-                                     collect_every=1, collect_after=burnin)
+        try:
+            final, collected = run_chain(G, beta, spec, burnin + steps, seed,
+                                         collect_every=1, collect_after=burnin)
+        except ValueError as exc:  # a beta whose block marginals overflow
+            _fail_invalid(str(exc))
         lines = ["".join("+" if x > 0 else "-" for x in st) for st in collected or [final]]
         fh.write("\n".join(lines) + "\n")
 
@@ -240,13 +243,16 @@ def couple(config, **flags):
 
     seeds = range(base_seed, base_seed + n_seeds)
     with _open_out(s) as fh:
-        if workers > 1:
-            # the graph travels once per worker; seeds are dealt one at a time
-            with ProcessPoolExecutor(max_workers=workers, initializer=_couple_init,
-                                     initargs=(G, beta, spec, t_max)) as pool:
-                results = list(pool.map(_couple_seed, seeds))
-        else:
-            results = [coupling_time(G, beta, spec, seed, t_max) for seed in seeds]
+        try:
+            if workers > 1:
+                # the graph travels once per worker; seeds are dealt one at a time
+                with ProcessPoolExecutor(max_workers=workers, initializer=_couple_init,
+                                         initargs=(G, beta, spec, t_max)) as pool:
+                    results = list(pool.map(_couple_seed, seeds))
+            else:
+                results = [coupling_time(G, beta, spec, seed, t_max) for seed in seeds]
+        except ValueError as exc:  # a beta whose block marginals overflow
+            _fail_invalid(str(exc))
         fh.write("seed,n,beta,dynamics,coalescence_step,timeout_flag\n")
         for r in results:  # seeds in order; map preserves it
             fh.write(f"{r.seed},{G.n},{beta},{spec.kind},{r.steps},"
@@ -411,7 +417,10 @@ def assm(config, **flags):
     beta = s.beta()
     r_max = s.count("r_max", 6, 0)
     with _open_out(s) as fh:
-        radius, details = find_assm_radius(G, beta, r_max)
+        try:
+            radius, details = find_assm_radius(G, beta, r_max)
+        except ValueError as exc:  # a beta whose marginals overflow
+            _fail_invalid(str(exc))
         report = {
             "graph": s.require("graph"),
             "beta": beta,

@@ -150,7 +150,9 @@ def _heat_bath_kernel(G: Graph, blocks, A: frozenset | None, mu: np.ndarray):
 
     From x, the chain moves to y = (x off D) | s, s any assignment on D,
     with probability mu(y) / Z(x off D), where Z sums mu over the 2^|D|
-    such y. Glauber is the case of singleton blocks.
+    such y. Glauber is the case of singleton blocks. Z adds mu(y) + mu(y
+    xor D) over y, halved: the flip of x off D sums the same pairs in the
+    same order, so a flip-invariant mu gives an exactly flip-invariant P.
     """
     if G.n > N_DIRECT_LIMIT:
         raise ValueError("graph too large for exact heat-bath kernel")
@@ -160,7 +162,7 @@ def _heat_bath_kernel(G: Graph, blocks, A: frozenset | None, mu: np.ndarray):
     for B in blocks:
         D = _vertex_mask(B, G.n) & amask
         rest = codes & ~D
-        Z = np.bincount(rest, weights=mu, minlength=codes.size)
+        Z = np.bincount(rest, weights=mu + mu[codes ^ D], minlength=codes.size) / 2
         y = rest[:, None] | codes[(codes & ~D) == 0]  # y[x, s] = rest[x] | s
         P[codes[:, None], y] += mu[y] / Z[rest, None]
     return P / len(blocks)
@@ -207,27 +209,67 @@ class SpectralReport:
         return math.isfinite(self.relaxation)
 
 
+def _flip_blocks(P: np.ndarray, mu: np.ndarray):
+    """(blocks, mu_b): the blocks that carry P's spectrum and its TV
+    distances, and mu on their states.
+
+    With no field, mu and every kernel built here commute with the global
+    flip x -> N-1-x. When P and mu are exactly flip-invariant, P splits
+    into the even block E = P_HH + B and the odd block O = P_HH - B on the
+    states H whose top bit is clear, where B(x, y) = P(x, N-1-y). The
+    spectrum of P is the union of theirs, each is reversible for mu_H when
+    P is for mu, and row x in H of P^t is ((E^t + O^t)/2, (E^t - O^t)/2
+    mirrored), while row N-1-x is the mirror of row x. Any other P is its
+    own single block.
+    """
+    N = P.shape[0]
+    if N % 2 or not (np.array_equal(P, P[::-1, ::-1]) and np.array_equal(mu, mu[::-1])):
+        return (P,), mu
+    h = N // 2
+    B = P[:h, h:][:, ::-1]
+    return (P[:h, :h] + B, P[:h, :h] - B), mu[:h]
+
+
 def spectral_report(P: np.ndarray, mu: np.ndarray,
                     tol: float = REV_TOL) -> SpectralReport:
     """Eigenvalues via the similarity transform with sqrt-stationary weights.
 
-    Requires mu > 0 and reversibility (both checked); the transformed
-    matrix is symmetric, so the spectrum is real.
+    Requires mu > 0 and reversibility, both checked on the full P. Each
+    flip block (see _flip_blocks), so transformed with sqrt(mu_H), is then
+    symmetric, so the spectrum is real.
     """
     if not np.all(mu > 0.0):
         raise ValueError("mu has states of zero mass, so sqrt(mu) cannot weigh them")
     resid = check_reversibility(P, mu)
     if resid > tol:
         raise ValueError(f"kernel not reversible: residual {resid:.3e}")
-    d = np.sqrt(mu)
-    M = (d[:, None] * P) / d[None, :]
-    lam = np.linalg.eigvalsh((M + M.T) / 2.0)[::-1]
+    blocks, mu_b = _flip_blocks(P, mu)
+    d = np.sqrt(mu_b)
+    parts = []
+    for M in blocks:
+        M = (d[:, None] * M) / d[None, :]
+        parts.append(np.linalg.eigvalsh((M + M.T) / 2.0))
+    lam = np.sort(np.concatenate(parts))[::-1]
     if abs(lam[0] - 1.0) > 1e-9 or np.max(np.abs(lam)) > 1.0 + 1e-9:
         raise ValueError("spectrum out of range for a stochastic reversible kernel")
     lam_star = max(abs(lam[1]), abs(lam[-1])) if len(lam) > 1 else 0.0
     gap = 1.0 - lam_star
     relaxation = 1.0 / gap if gap > 1e-12 else math.inf
     return SpectralReport(eigenvalues=lam, gap=gap, relaxation=relaxation)
+
+
+def _rows(blocks) -> np.ndarray:
+    """Rows of P^t, one per state of the blocks, from the blocks' t-th powers.
+
+    For the flip blocks, row x is its H half, then its other half in
+    mirrored order, so a flip-invariant mu reads mu_H twice along it.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    E, O = blocks
+    rows = np.concatenate([E + O, E - O], axis=1)
+    rows *= 0.5
+    return rows
 
 
 def _far(rows: np.ndarray, mu: np.ndarray, eps: float) -> bool:
@@ -237,15 +279,15 @@ def _far(rows: np.ndarray, mu: np.ndarray, eps: float) -> bool:
     return bool(0.5 * dev.sum(axis=1).max() > eps)
 
 
-def _product_far(A: np.ndarray, B: np.ndarray, mu: np.ndarray,
-                 eps: float) -> bool:
-    """Whether some row of A @ B is far from mu, one row block at a time.
+def _product_far(A, B, mu: np.ndarray, eps: float) -> bool:
+    """Whether some row of the product of the block powers A and B is far
+    from mu, one row block at a time.
 
     Stops at the first far block, so a far product is usually decided
     after one block, and A @ B is never held whole.
     """
-    return any(_far(A[lo:lo + ROW_BLOCK] @ B, mu, eps)
-               for lo in range(0, A.shape[0], ROW_BLOCK))
+    return any(_far(_rows([a[lo:lo + ROW_BLOCK] @ b for a, b in zip(A, B)]), mu, eps)
+               for lo in range(0, A[0].shape[0], ROW_BLOCK))
 
 
 def tv_mixing_time(P: np.ndarray, mu: np.ndarray, eps: float = 0.25,
@@ -260,7 +302,9 @@ def tv_mixing_time(P: np.ndarray, mu: np.ndarray, eps: float = 0.25,
     answer is found by a doubling search: square P while d(2^j) > eps,
     then descend through the kept powers, adding 2^j to the largest far
     time t while d(t + 2^j) > eps. That is about 2 log2(t) matrix
-    products instead of t. Memory is the floor(log2 t) kept powers P^(2^j)
+    products instead of t. P is powered as its flip blocks (see
+    _flip_blocks), whose rows give every distinct row of P^t, so a product
+    is one per block. Memory is the floor(log2 t) kept powers P^(2^j)
     plus row blocks of ROW_BLOCK rows: a probe that finds a product near
     is never stored, and the descent updates P^t in place and drops each
     power after its last use. d(0) = 1 - min(mu) needs no product.
@@ -271,25 +315,28 @@ def tv_mixing_time(P: np.ndarray, mu: np.ndarray, eps: float = 0.25,
         raise ValueError("state space too large for matrix powering")
     if 1.0 - mu.min() <= eps:
         return 0
+    blocks, mu_b = _flip_blocks(P, mu)
+    mu_rows = np.tile(mu_b, len(blocks))  # mu along a row of _rows
     t = 0  # the largest time known to have d(t) > eps
-    powers = []  # powers[j] = P^(2^j), every one with d(2^j) > eps
-    far = _far(P, mu, eps)
+    powers = []  # powers[j] = the blocks of P^(2^j), every one with d(2^j) > eps
+    far = _far(_rows(blocks), mu_rows, eps)
     while far:
         t = 2 * t or 1
         if t >= cap:
             return None
-        powers.append(powers[-1] @ powers[-1] if powers else P)
-        far = _product_far(powers[-1], powers[-1], mu, eps)
+        powers.append(tuple(b @ b for b in powers[-1]) if powers else blocks)
+        far = _product_far(powers[-1], powers[-1], mu_rows, eps)
     # The answer lies in (t, 2t] (it is 1 if t = 0): Q = P^t, bisect with
     # the other powers, largest first.
     Q = powers.pop() if powers else None
     while powers:
         B = powers.pop()
-        if _product_far(Q, B, mu, eps):
+        if _product_far(Q, B, mu_rows, eps):
             t += 1 << len(powers)
             if powers:  # Q is our own product here, so update it in place
-                for lo in range(0, Q.shape[0], ROW_BLOCK):
-                    Q[lo:lo + ROW_BLOCK] = Q[lo:lo + ROW_BLOCK] @ B
+                for q, b in zip(Q, B):
+                    for lo in range(0, q.shape[0], ROW_BLOCK):
+                        q[lo:lo + ROW_BLOCK] = q[lo:lo + ROW_BLOCK] @ b
     return t + 1 if t < cap else None
 
 

@@ -89,10 +89,19 @@ class GibbsTable:
             raise ValueError(f"Gibbs table sums to {s}, not 1")
 
 
+def _check_spread(beta: float, spread: int, what: str):
+    """Refuse a beta at which beta * spread, a bound on the differences
+    between the log-weights of `what`, is not finite, before exponentiating."""
+    if not math.isfinite(beta * spread):
+        raise ValueError(f"beta = {beta!r} is too large for {what}: beta * {spread} "
+                         "is not finite, so the weights would be nan")
+
+
 def gibbs_exact(G: Graph, beta: float) -> GibbsTable:
     """Enumerate mu(sigma) = exp(beta * agreements) / Z for every sigma."""
     if G.n > ENUM_LIMIT:
         raise ValueError(f"n={G.n} exceeds enumeration limit {ENUM_LIMIT}")
+    _check_spread(beta, 2 * G.m, "the Gibbs table")  # agreement sums span [-m, m]
     codes = np.arange(1 << G.n, dtype=np.int64)
     logw = beta * _agreement_sum(G, codes).astype(np.float64)
     top = logw.max()
@@ -122,8 +131,11 @@ def clamped_marginals(G: Graph, beta: float, v: int, clamp: dict):
     arithmetic never mutates its operands, so one clamping runs on plain
     floats and each message carries only the axes of the clampings below
     it; other components are enumerated (at most 2^ENUM_LIMIT states).
+    Every log-weight difference either way is at most 4 beta k d, for k
+    free vertices of degree at most d, so that product must be finite.
     """
     dist = distances(G, v, clamp)
+    _check_spread(beta, 4 * len(dist) * G.max_degree, "the clamped marginals")
 
     def field(u):
         return beta * sum((clamp[w] for w in G.adjacency[u] if w in clamp), 0)

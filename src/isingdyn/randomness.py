@@ -57,7 +57,7 @@ _TO_UNIT = 2.0 ** -53
 _SHIFT = np.uint64(11)
 _SPIN_BIT = np.uint32(31)
 _SPIN = np.array([-1, 1], dtype=np.int8)
-_BLOCK_WORDS = 1 << 12  # most words one draw_block read takes (unless one step needs more)
+_BLOCK_WORDS = 1 << 12  # most words one draw_block read takes (unless two steps need more)
 
 
 @dataclass(frozen=True)
@@ -126,14 +126,16 @@ def draw_block(rng: np.random.Generator, n: int, m: int, T: int):
     sequential_draws(rng, n, m) calls (see the module docstring).
 
     rng runs on a 64-bit numpy bit generator (PCG64, as default_rng gives,
-    or Philox). Steps are read in blocks of at most _BLOCK_WORDS words, and
-    the yielded arrays are views of the block. After a block is read, rng's
-    state is the one sequential calls reach at its end, so rng must not be
-    used while steps of a block are still being consumed; once the loop
-    ends, its state equals that of the T sequential calls.
+    or Philox). Steps are read in blocks of at most _BLOCK_WORDS words, or
+    of two steps where one step needs more than half of them (a read of one
+    step costs more than a sequential_draws call), and the yielded arrays
+    are views of the block. After a block is read, rng's state is the one
+    sequential calls reach at its end, so rng must not be used while steps
+    of a block are still being consumed; once the loop ends, its state
+    equals that of the T sequential calls.
     """
     bg = rng.bit_generator
-    chunk = max(1, _BLOCK_WORDS // (m + n + 1 + (n + 1) // 2))
+    chunk = max(2, _BLOCK_WORDS // (m + n + 1 + (n + 1) // 2))
     for start in range(0, T, chunk):
         state = bg.state
         spare = state["has_uint32"]

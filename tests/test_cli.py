@@ -632,6 +632,48 @@ class TestGap:
             assert float(line.split(",")[2]) == pytest.approx(1.0, abs=1e-9)
 
 
+def run_cli(*args):
+    """The command in a child process, so numpy's warnings reach its stderr."""
+    return subprocess.run([sys.executable, "-m", "isingdyn.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+
+
+class TestOverflowingBeta:
+    """A beta whose log-weights overflow: one line, no warning, no NaN."""
+
+    BLOCKS = '{"kind": "block", "blocks": [[0, 1], [2]]}'
+
+    @pytest.mark.parametrize("args, what, spread", [
+        (["gap", "--sizes", "4"], "the Gibbs table", 8),
+        (["assm", "--graph", "path(3)"], "the clamped marginals", 8),
+        (["sample", "--graph", "path(3)", "--dynamics", BLOCKS, "--steps", "3"],
+         "the clamped marginals", 16),
+        (["couple", "--graph", "path(3)", "--dynamics", BLOCKS],
+         "the clamped marginals", 8),
+    ])
+    def test_exits_2_with_one_line(self, args, what, spread, tmp_path):
+        # --out is opened before the run (gap's rows come first), so the
+        # others leave it empty
+        out = tmp_path / "out.txt"
+        res = run_cli(*args, "--beta", "1e308", "--out", str(out))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.splitlines() == [
+            f"error: beta = 1e+308 is too large for {what}: beta * {spread} "
+            "is not finite, so the weights would be nan"]
+        assert (not out.exists()) if args[0] == "gap" else out.read_text() == ""
+
+    def test_verify_names_the_overflow(self):
+        res = run_cli("verify", "--graph", "path(3)", "--beta", "1e308",
+                      "--dynamics", '{"kind": "iv"}')
+        assert res.returncode == 1
+        assert res.stderr.splitlines() == [
+            "error: every check was skipped; nothing was verified"]
+        (check,) = json.loads(res.stdout)["checks"]
+        assert check["check"] == "transition_matrix"
+        assert "too large for the Gibbs table" in check["skipped"]
+
+
 class TestAssm:
     def test_beta0_radius0(self):
         res = runner.invoke(main, ["assm", "--graph", "cycle(8)",

@@ -714,6 +714,20 @@ class TestDrawBlock:
         for pre in (0, 1):
             self.check(lambda: np.random.default_rng(n), n, m, 50, pre)
 
+    @pytest.mark.parametrize("T", [1, 2, 3, 5])
+    def test_steps_wider_than_half_the_budget(self, T, monkeypatch):
+        # one step at n = 1024, m = 1536 takes 3073 words, more than half of
+        # _BLOCK_WORDS; a block still reads two of them
+        sizes = []
+        block_map = randomness._block_map
+        monkeypatch.setattr(randomness, "_block_map",
+                            lambda n, m, T, spare: sizes.append(T) or
+                            block_map(n, m, T, spare))
+        for pre in (0, 1):
+            sizes.clear()
+            self.check(lambda: np.random.default_rng(T), 1024, 1536, T, pre)
+            assert sizes == [2] * (T // 2) + [1] * (T % 2)
+
     def test_zero_steps_draw_nothing(self):
         rng = np.random.default_rng(3)
         before = repr(rng.bit_generator.state)

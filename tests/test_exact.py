@@ -498,6 +498,63 @@ class TestMixingTimeSearch:
         assert peak <= 40 * 2**20
 
 
+def _shifted(P, mu):
+    """P and mu relabelled by x -> x + 1 (mod N), which does not commute
+    with the global flip x -> N-1-x, so neither function folds them."""
+    perm = np.roll(np.arange(mu.size), 1)
+    return P[np.ix_(perm, perm)], mu[perm]
+
+
+class TestFlipFold:
+    """The even/odd flip blocks against the unfolded N x N path."""
+
+    @pytest.mark.parametrize("kind", list(_mixing_specs(2)))
+    @pytest.mark.parametrize("gname", list(MIXING_GRAPHS))
+    def test_matches_unfolded(self, gname, kind):
+        G = MIXING_GRAPHS[gname]
+        spec = _mixing_specs(G.n)[kind]
+        for beta in (0.1, 0.4, 1.0):
+            tm = transition_matrix(G, beta, spec)
+            P2, mu2 = _shifted(tm.P, tm.mu)
+            assert np.array_equal(tm.P, tm.P[::-1, ::-1])
+            assert not np.array_equal(P2, P2[::-1, ::-1])
+            lam = spectral_report(tm.P, tm.mu).eigenvalues
+            assert np.max(np.abs(lam - spectral_report(P2, mu2).eigenvalues)) <= 1e-12
+            for eps in (0.01, 0.1, 0.25, 0.5):
+                ref = tv_mixing_time(P2, mu2, eps, ORACLE_CAP)
+                caps = [0, 1, ORACLE_CAP] + ([ref, ref - 1] if ref is not None else [])
+                for cap in caps:
+                    assert tv_mixing_time(tm.P, tm.mu, eps, cap) == \
+                        tv_mixing_time(P2, mu2, eps, cap), (beta, eps, cap)
+
+    def test_eigen_solves(self, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda M: shapes.append(M.shape) or eigvalsh(M))
+        for kind, spec in _mixing_specs(3).items():
+            tm = transition_matrix(path(3), 0.4, spec)
+            shapes.clear()
+            spectral_report(tm.P, tm.mu)
+            assert shapes == [(4, 4), (4, 4)], kind
+            shapes.clear()
+            spectral_report(*_shifted(tm.P, tm.mu))
+            assert shapes == [(8, 8)], kind
+
+    def test_nonreversible_flip_invariant_kernel(self):
+        # the lazy walk 0 -> 1 -> 3 -> 2 -> 0 commutes with the flip and
+        # keeps the uniform mu, but is not reversible
+        P = np.eye(4) / 2
+        for x, y in ((0, 1), (1, 3), (3, 2), (2, 0)):
+            P[x, y] = 0.5
+        mu = np.full(4, 0.25)
+        assert np.array_equal(P, P[::-1, ::-1])
+        with pytest.raises(ValueError, match="not reversible"):
+            spectral_report(P, mu)
+        for eps in (0.01, 0.1, 0.25, 0.5):
+            assert tv_mixing_time(P, mu, eps) == loop_tv_mixing_time(P, mu, eps)
+
+
 class TestDirichletForm:
     def test_constant_zero(self):
         tm = transition_matrix(EDGE, 0.5, DynamicsSpec("iv"))

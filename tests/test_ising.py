@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,17 @@ class TestGibbsExact:
         # beta * 4 overflows to inf, so logZ = inf and every probability is NaN
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="nan"):
             gibbs_exact(cycle(4), 1e308)
+
+    def test_overflowing_beta_refused_before_exponentiating(self):
+        # path(3) at 0.6e308: beta * m is finite, beta * 2m (the log-weight
+        # spread) is not, and logw - max(logw) would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for G, beta in ((cycle(4), 1e308), (path(3), 0.6e308), (EDGE, -1e308)):
+                with pytest.raises(ValueError, match="too large for the Gibbs table"):
+                    gibbs_exact(G, beta)
+            edgeless = gibbs_exact(Graph(n=2, edges=()), 1e308)
+        assert np.array_equal(edgeless.probs, np.full(4, 0.25))
 
     @settings(max_examples=100)
     @given(complete_subgraphs(),
@@ -233,6 +245,24 @@ class TestConditionalMarginal:
         out = clamped_marginals(G, 0.6, v, {**clamp, 5: 1})
         assert np.shape(out) == ()
         assert float(out) == conditional_marginal(G, 0.6, v, {5: 1}) > 0.5
+
+    @pytest.mark.parametrize("G, v, clamp", [
+        (path(3), 0, {1: np.array([-1, 1])}),     # one free vertex
+        (complete_tree(3, 2), 0, {}),             # a tree component
+        (grid(3, 3), 4, {0: np.array([-1, 1])}),  # an enumerated component
+    ])
+    def test_overflowing_beta_refused(self, G, v, clamp):
+        k = len(distances(G, v, clamp))
+        edge = 1.7e308 / (4 * k * G.max_degree)  # about the largest beta taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large for the clamped marginals"):
+                clamped_marginals(G, 1.1 * edge, v, clamp)
+        # at the largest beta taken nothing is NaN; only the final logistic
+        # overflows, to a probability of exactly 0
+        with np.errstate(over="ignore"):
+            out = np.asarray(clamped_marginals(G, edge, v, clamp))
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_free_region_limit(self):
         # a 25-vertex grid component is not a tree and exceeds 2^20 states
