@@ -1,9 +1,17 @@
 """Grand couplings, coalescence-time estimation, and monotonicity audits.
 
 A grand coupling advances every coupled copy with the same per-step random
-fields (StepDraws). For the monotone kernels (glauber, block, iv, msw) the
-coupling preserves the coordinatewise order, so the chains started from
-all-plus and all-minus sandwich every other start.
+fields. For the monotone kernels (glauber, block, iv, msw) the coupling
+preserves the coordinatewise order, so the chains started from all-plus
+and all-minus sandwich every other start.
+
+coupling_time reads step t's fields from SharedRandomness by counter. The
+cluster kinds (iv, msw) read the whole step, StepDraws from at(t): m edge
+uniforms, the spins and n vertex uniforms. The heat-bath kinds (glauber,
+block) read SiteDraws: the selector and u_t(v) for each site v the selected
+vertex or block updates (heat_bath_sites), 2 and 1 + |B_k int A| of the
+step's m + ceil(n/2) + n + 1 words. Both carry the bits at(t) decodes, so
+the coalescence times are the same either way.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsSpec, step
+from .dynamics import DynamicsSpec, heat_bath_sites, step
 from .graph import Graph
 # sequential_draws stays bound here: it is the per-step form of the blocks
 # the audit reads, and perfbench's tracer wraps it at every binding
@@ -46,10 +54,15 @@ def coupling_time(G: Graph, beta: float, spec: DynamicsSpec, seed: int,
         raise ValueError(f"{spec.kind} dynamics has no monotone grand coupling")
     spec.validate_for(G)
     shared = SharedRandomness(seed, G.n, G.m)
+    if spec.kind in ("glauber", "block"):
+        r = G.n if spec.blocks is None else len(spec.blocks)
+        plans = [heat_bath_sites(spec.blocks, k, spec.censor) for k in range(r)]
+        stream = shared.site_draws(plans, t_max)
+    else:
+        stream = map(shared.at, range(1, t_max + 1))
     upper = np.full(G.n, 1, dtype=np.int8)
     lower = np.full(G.n, -1, dtype=np.int8)
-    for t in range(1, t_max + 1):
-        draws = shared.at(t)
+    for t, draws in enumerate(stream, 1):
         upper = step(G, beta, spec, upper, draws)
         lower = step(G, beta, spec, lower, draws)
         if np.array_equal(upper, lower):

@@ -3,7 +3,9 @@ monotone-SW, and their censored variants.
 
 All step functions are pure given (configuration, StepDraws). Randomness
 consumption is fixed (see randomness module): this makes trajectories
-bit-reproducible and lets the same code drive grand couplings.
+bit-reproducible and lets the same code drive grand couplings. Glauber and
+block steps read only the selector and the vertex uniforms of
+heat_bath_sites, so they also run on SiteDraws.
 
 Component spin draws use the component's smallest vertex's stream (its
 root, as `components` returns it) so that cluster steps are independent of
@@ -19,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graph import Graph
-from .ising import ENUM_LIMIT, conditional_marginal
+from .ising import ENUM_LIMIT, _logistic, conditional_marginal
 from .randomness import StepDraws, draw_block
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "msw_step_alt",
     "glauber_step",
     "block_step",
+    "heat_bath_sites",
     "step",
     "run_chain",
 ]
@@ -224,7 +227,7 @@ def glauber_step(G: Graph, beta: float, spins, draws: StepDraws) -> np.ndarray:
     spins = np.asarray(spins, dtype=np.int8)
     v = draws.block_index(G.n)
     S = int(sum(spins[u] for u in G.adjacency[v]))
-    p_plus = 1.0 / (1.0 + np.exp(-2.0 * beta * S))
+    p_plus = _logistic(-2.0 * beta * S)
     out = spins.copy()
     out[v] = 1 if draws.vertex_uniforms[v] <= p_plus else -1
     return out
@@ -241,8 +244,7 @@ def block_step(G: Graph, beta: float, spins, blocks, draws: StepDraws,
     coupling from the proofs.
     """
     spins = np.asarray(spins, dtype=np.int8)
-    k = draws.block_index(len(blocks))
-    free = sorted(blocks[k] if A is None else (blocks[k] & A))
+    free = heat_bath_sites(blocks, draws.block_index(len(blocks)), A)
     out = spins.copy()
     if not free:
         return out
@@ -254,6 +256,15 @@ def block_step(G: Graph, beta: float, spins, blocks, draws: StepDraws,
         p_plus = conditional_marginal(G, beta, v, boundary)
         out[v] = boundary[v] = 1 if draws.vertex_uniforms[v] <= p_plus else -1
     return out
+
+
+def heat_bath_sites(blocks, k: int, A: frozenset | None = None) -> tuple:
+    """The vertices a heat-bath step with selector index k updates, in
+    update order, and so the only vertex uniforms it reads: Glauber's
+    vertex k when blocks is None, else B_k int A ascending."""
+    if blocks is None:
+        return (k,)
+    return tuple(sorted(blocks[k] if A is None else blocks[k] & A))
 
 
 def step(G: Graph, beta: float, spec: DynamicsSpec, spins,

@@ -11,6 +11,7 @@ log-sum-exp.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +36,7 @@ __all__ = [
 
 UPSET_TOL = 1e-10
 _LOG2 = math.log(2.0)  # numpy's NPY_LOGE2
+_EXP_MAX = math.log(sys.float_info.max)  # exp overflows to inf exactly above it
 ENUM_LIMIT = 20
 UP_SET_N_LIMIT = 4  # 168 up-sets at n = 4; U' M U over the 7581 at n = 5 needs chunking
 
@@ -156,13 +158,26 @@ def _tree_marginals(G, beta, v, dist, field):
         lp = h + sum(logm[w][0] for w in children)
         lm = -h + sum(logm[w][1] for w in children)
         if u == v:
-            return 1.0 / (1.0 + np.exp(lm - lp))
+            return _logistic(lm - lp)
         # marginalize u's spin for each parent spin
         to_plus = _logaddexp(beta + lp, -beta + lm)
         to_minus = _logaddexp(-beta + lp, beta + lm)
         z = _logaddexp(to_plus, to_minus)
         logm[u] = (to_plus - z, to_minus - z)
     raise AssertionError("unreachable")
+
+
+def _logistic(d):
+    """1 / (1 + exp(d)), elementwise with numpy's bits, but 0.0 without
+    numpy's overflow warning where exp(d) is inf: such a d is replaced by
+    inf, whose exp is inf silently. A float costs one more comparison, so
+    the Glauber and tree-root hot paths need no np.errstate."""
+    if isinstance(d, float):
+        if d > _EXP_MAX:
+            d = math.inf
+    elif np.any(d > _EXP_MAX):
+        d = np.where(d > _EXP_MAX, np.inf, d)
+    return 1.0 / (1.0 + np.exp(d))
 
 
 def _logaddexp(x, y):

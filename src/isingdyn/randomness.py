@@ -28,6 +28,18 @@ every step resets the generator to key (seed tag, t), counter 0, empty
 buffer. One SharedRandomness holds that generator and is therefore not
 thread-safe.
 
+SharedRandomness.uniforms decodes chosen words of chosen steps without
+generating the rest. numpy's Philox advances its counter before each block
+of four words, so word w of step t is lane w mod 4 of Philox4x64-10
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011) on
+counter (w // 4 + 1, 0, 0, 0) under key ((tag << 32) ^ seed, t); `_philox`
+evaluates that on arrays, with 128-bit products formed from 32-bit halves.
+A heat-bath step (Glauber or block) reads only its selector, word m+h+n,
+and then u_t(v), word m+h+v, for each site v of the block the selector
+picks. The sites depend on the selector alone, never on the state, so
+site_draws reads a chunk of steps with two such calls (the selectors, then
+every chosen site) and yields SiteDraws holding exactly those fields.
+
 A sequential generator (`sequential_draws`, used by single chains and
 audits) reads one stream, so steps are not independent blocks. With
 numpy's PCG64 one step takes, in order: m words for the edge uniforms,
@@ -47,10 +59,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["StepDraws", "SharedRandomness", "sequential_draws", "draw_block"]
+__all__ = ["StepDraws", "SiteDraws", "SharedRandomness", "sequential_draws", "draw_block"]
 
 _STREAM_TAG = 0x1517C0DE
 _TO_UNIT = 2.0 ** -53
@@ -58,6 +71,13 @@ _SHIFT = np.uint64(11)
 _SPIN_BIT = np.uint32(31)
 _SPIN = np.array([-1, 1], dtype=np.int8)
 _BLOCK_WORDS = 1 << 12  # most words one draw_block read takes (unless two steps need more)
+_SITE_CHUNK = 1 << 10  # most steps one site_draws chunk reads
+_LO32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+# Philox4x64 multipliers and Weyl key increments (Salmon et al. 2011)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_HALVES = (_PHILOX_M & _LO32, _PHILOX_M >> _32)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -72,6 +92,17 @@ class StepDraws:
     def block_index(self, r: int) -> int:
         """The selector's index in [0, r): a block, or Glauber's vertex."""
         return min(int(self.selector * r), r - 1)
+
+
+class SiteDraws(NamedTuple):
+    """The fields a heat-bath step reads: its selector, and u_t(v) for only
+    the sites v it updates (vertex_uniforms maps each to its float, so a
+    read of any other vertex raises KeyError)."""
+
+    selector: float
+    vertex_uniforms: dict
+
+    block_index = StepDraws.block_index
 
 
 class SharedRandomness:
@@ -104,6 +135,74 @@ class SharedRandomness:
         words >>= _SHIFT
         u = words * _TO_UNIT
         return StepDraws(u[:m], spins, u[m + h:m + h + n], float(u[-1]))
+
+    def uniforms(self, steps: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """The doubles (w >> 11) * 2^-53 of word words[i] of step steps[i]
+        (a uint64 and an integer array of one shape), bit for bit those
+        at() decodes."""
+        lanes = _philox(int(self._key[0]), steps, (words // 4 + 1).astype(np.uint64))
+        word = lanes[words % 4, np.arange(len(words))]
+        return (word >> _SHIFT) * _TO_UNIT
+
+    def site_draws(self, plans, t_max: int):
+        """Yield the SiteDraws of steps 1..t_max, for a step whose selector
+        index k (of r = len(plans)) reads the vertex uniforms of plans[k].
+
+        Each chunk of steps costs two uniforms calls, the selectors and
+        then every site they pick; chunks double from 64 steps up to
+        _SITE_CHUNK, so a short run reads little past its end.
+        """
+        base = self.m + (self.n + 1) // 2  # the word of u_t(0)
+        r = len(plans)
+        width = max(map(len, plans), default=0)
+        table = np.full((r, width), -1, dtype=np.intp)  # row k: plans[k], then -1s
+        for k, p in enumerate(plans):
+            table[k, :len(p)] = p
+        t, T = 1, 64
+        while t <= t_max:
+            T = min(T, t_max - t + 1)
+            steps = np.uint64(t) + np.arange(T, dtype=np.uint64)
+            sel = self.uniforms(steps, np.full(T, base + self.n))
+            ks = np.minimum((sel * r).astype(np.intp), r - 1)  # block_index, per step
+            sites = table[ks]
+            picked = sites >= 0
+            u = self.uniforms(np.repeat(steps, picked.sum(axis=1)),
+                              base + sites[picked]).tolist()
+            i = 0
+            for x, k in zip(sel.tolist(), ks.tolist()):
+                p = plans[k]
+                yield SiteDraws(x, dict(zip(p, u[i:i + len(p)])))
+                i += len(p)
+            t += T
+            T = min(2 * T, _SITE_CHUNK)
+
+
+def _philox(k0: int, k1: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """The four output lanes (rows) of Philox4x64-10 on counters (c0, 0, 0, 0)
+    under keys (k0, k1): numpy's Philox advances its counter before each
+    block, so word w of a fresh generator is lane w % 4 of counter w // 4 + 1.
+
+    Rows of X hold lanes 0 and 2, which a round multiplies, and rows of Y
+    lanes 1 and 3, so each array operation serves both multiplications.
+    """
+    X = np.stack([c0, np.zeros_like(c0)])
+    Y = np.zeros_like(X)
+    K = np.stack([np.full_like(c0, k0), k1])
+    for _ in range(10):
+        hi, lo = _mulhilo(X)
+        X, Y = hi[::-1] ^ Y ^ K, lo[::-1]
+        K += _PHILOX_W
+    return np.stack([X[0], Y[0], X[1], Y[1]])
+
+
+def _mulhilo(a: np.ndarray) -> tuple:
+    """(high, low) 64-bit words of the 128-bit products a * _PHILOX_M, from
+    32-bit halves (Warren, Hacker's Delight, 8-2); no partial sum overflows."""
+    a0, a1 = a & _LO32, a >> _32
+    b0, b1 = _PHILOX_M_HALVES
+    t = a1 * b0 + (a0 * b0 >> _32)
+    w = (t & _LO32) + a0 * b1
+    return a1 * b1 + (t >> _32) + (w >> _32), a * _PHILOX_M
 
 
 def sequential_draws(rng: np.random.Generator, n: int, m: int) -> StepDraws:

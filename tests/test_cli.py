@@ -663,6 +663,23 @@ class TestOverflowingBeta:
             "is not finite, so the weights would be nan"]
         assert (not out.exists()) if args[0] == "gap" else out.read_text() == ""
 
+    def test_glauber_past_exp_range_is_silent(self):
+        # -2 beta S = 4000 at a vertex whose neighbours are both -
+        res = run_cli("couple", "--graph", "cycle(8)", "--beta", "1000",
+                      "--dynamics", '{"kind":"glauber"}', "--t-max", "200")
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout == ("seed,n,beta,dynamics,coalescence_step,timeout_flag\n"
+                              "0,8,1000.0,glauber,200,1\n")
+
+    def test_assm_tree_root_past_exp_range_is_silent(self):
+        res = run_cli("assm", "--graph", "path(3)", "--beta", "1000", "--r-max", "1")
+        assert res.returncode == 0 and res.stderr == ""
+        fail, ok = ["fail", 1.0], ["pass", 0.0]
+        assert json.loads(res.stdout) == {
+            "graph": "path(3)", "beta": 1000.0, "R_max": 1, "radius": None,
+            "pass": False, "per_radius": {"0": {"0": fail, "1": fail, "2": fail},
+                                          "1": {"0": fail, "1": ok, "2": fail}}}
+
     def test_verify_names_the_overflow(self):
         res = run_cli("verify", "--graph", "path(3)", "--beta", "1e308",
                       "--dynamics", '{"kind": "iv"}')

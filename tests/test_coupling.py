@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from isingdyn.coupling import (
+    CouplingResult,
     coupling_time,
     monotonicity_audit,
     random_comparable_pair,
@@ -87,6 +88,73 @@ class TestCouplingTime:
         for seed in range(20):
             res = coupling_time(G, 0.3, DynamicsSpec("iv"), seed, t_max=10**5)
             assert not res.timed_out
+
+
+def at_coupling_time(G, beta, spec, seed, t_max):
+    """coupling_time read through SharedRandomness.at, one step at a time:
+    the reference for the site draws of the heat-bath kinds."""
+    sr = SharedRandomness(seed, G.n, G.m)
+    upper = np.full(G.n, 1, dtype=np.int8)
+    lower = np.full(G.n, -1, dtype=np.int8)
+    for t in range(1, t_max + 1):
+        d = sr.at(t)
+        upper = step(G, beta, spec, upper, d)
+        lower = step(G, beta, spec, lower, d)
+        if np.array_equal(upper, lower):
+            return CouplingResult(seed=seed, steps=t, timed_out=False)
+    return CouplingResult(seed=seed, steps=t_max, timed_out=True)
+
+
+C9_BLOCKS = (frozenset({0, 1, 2, 3}), frozenset({3, 4}), frozenset({5, 6, 7, 8}),
+             frozenset({8, 0}))
+HEAT_BATH_SPECS = {
+    "glauber": DynamicsSpec("glauber"),
+    "overlapping": DynamicsSpec("block", blocks=C9_BLOCKS),
+    # block {5, 6, 7, 8} misses A, so some steps update nothing
+    "censored": DynamicsSpec("block", blocks=C9_BLOCKS, censor=frozenset({0, 2, 3, 4})),
+    "censored-to-V": DynamicsSpec("block", blocks=C9_BLOCKS, censor=frozenset(range(9))),
+    "single-block": DynamicsSpec("block", blocks=(frozenset(range(9)),)),
+    "singletons": DynamicsSpec("block", blocks=tuple(frozenset({v}) for v in range(9))),
+}
+
+
+class TestSiteDrawCouplings:
+    """glauber and block couplings read site draws; at(t) is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(HEAT_BATH_SPECS))
+    @pytest.mark.parametrize("beta", [0.3, 1.5])
+    def test_equals_per_step_at(self, name, beta):
+        spec = HEAT_BATH_SPECS[name]
+        for seed in (0, 1, 12345, 2**64 - 1):
+            for t_max in (0, 3, 200, 2000):  # 2000 passes the 1024-step cap
+                want = at_coupling_time(cycle(9), beta, spec, seed, t_max)
+                assert coupling_time(cycle(9), beta, spec, seed, t_max) == want
+        if name == "censored":
+            assert want.timed_out
+
+    @pytest.mark.parametrize("kind", ["glauber", "block8"])
+    @pytest.mark.parametrize("seed", [1, 2**63 + 5])
+    def test_equals_per_step_at_on_cycle256(self, kind, seed):
+        G = cycle(256)
+        spec = DynamicsSpec("glauber") if kind == "glauber" else DynamicsSpec(
+            "block", blocks=tuple(frozenset(range(i, i + 8)) for i in range(0, 256, 8)))
+        want = at_coupling_time(G, 0.3, spec, seed, 10**5)
+        assert not want.timed_out
+        assert coupling_time(G, 0.3, spec, seed, 10**5) == want
+
+    @pytest.mark.parametrize("spec, reads_at", [
+        (DynamicsSpec("glauber"), False),
+        (DynamicsSpec("block", blocks=C9_BLOCKS), False),
+        (DynamicsSpec("iv"), True),
+        (DynamicsSpec("msw"), True),
+    ])
+    def test_at_only_for_cluster_kinds(self, spec, reads_at, monkeypatch):
+        calls = []
+        at = SharedRandomness.at
+        monkeypatch.setattr(SharedRandomness, "at",
+                            lambda self, t: calls.append(t) or at(self, t))
+        res = coupling_time(cycle(9), 0.3, spec, seed=4, t_max=50)
+        assert calls == (list(range(1, res.steps + 1)) if reads_at else [])
 
 
 class TestSandwich:

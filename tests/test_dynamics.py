@@ -18,6 +18,7 @@ from isingdyn.dynamics import (
     block_step,
     components,
     glauber_step,
+    heat_bath_sites,
     iv_step,
     msw_step_alt,
     percolate,
@@ -32,6 +33,7 @@ from isingdyn import randomness
 from isingdyn.randomness import (
     _STREAM_TAG,
     SharedRandomness,
+    SiteDraws,
     StepDraws,
     draw_block,
     sequential_draws,
@@ -796,3 +798,78 @@ class TestSharedRandomness:
         first = sr.at(5)
         sr.at(9)
         self.assert_same_draws(sr.at(5), first)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), t=st.integers(0, 2**64 - 1),
+           n=st.integers(0, 64), data=st.data())
+    def test_uniforms_are_the_steps_words(self, seed, t, n, data):
+        """Every word of a step, each lane of each Philox block, decodes to
+        the double a Generator on the step's key reads there, and at(t)'s
+        fields are those words."""
+        m = data.draw(st.integers(0, 3 * n))
+        h = (n + 1) // 2
+        size = m + h + n + 1
+        sr = SharedRandomness(seed, n, m)
+        key = np.array([(_STREAM_TAG << 32) ^ seed, t], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(size)
+        words = np.array(data.draw(st.permutations(range(size))), dtype=np.intp)
+        got = sr.uniforms(np.full(size, t, dtype=np.uint64), words)
+        assert np.array_equal(got, want[words])
+        d = sr.at(t)
+        assert np.array_equal(want[:m], d.edge_uniforms)
+        assert np.array_equal(want[m + h:m + h + n], d.vertex_uniforms)
+        assert want[-1] == d.selector
+
+    def test_uniforms_mix_steps(self):
+        sr = SharedRandomness(2**63 + 5, 9, 12)
+        steps = np.array([3, 1, 3, 2**64 - 1, 1], dtype=np.uint64)
+        words = np.array([26, 0, 17, 5, 21])  # u_t(0) is word 12 + 5
+        want = [sr.at(3).selector, sr.at(1).edge_uniforms[0],
+                sr.at(3).vertex_uniforms[0], sr.at(2**64 - 1).edge_uniforms[5],
+                sr.at(1).vertex_uniforms[4]]
+        assert sr.uniforms(steps, words).tolist() == want
+
+    def assert_site_draws_match_at(self, sr, plans, t_max):
+        got = list(sr.site_draws(plans, t_max))
+        assert len(got) == t_max
+        for t, d in enumerate(got, 1):
+            full = sr.at(t)
+            assert type(d) is SiteDraws
+            assert type(d.selector) is float and d.selector == full.selector
+            k = d.block_index(len(plans))
+            assert k == full.block_index(len(plans))
+            assert list(d.vertex_uniforms) == list(plans[k])
+            for v, u in d.vertex_uniforms.items():
+                assert type(u) is float and u == full.vertex_uniforms[v]
+            for v in set(range(sr.n)) - set(plans[k]):
+                with pytest.raises(KeyError):
+                    d.vertex_uniforms[v]
+
+    @pytest.mark.parametrize("t_max", [0, 1, 63, 64, 65, 64 + 128 + 256 + 7])
+    def test_site_draws_match_at(self, t_max):
+        G = cycle(9)
+        glauber = [heat_bath_sites(None, k) for k in range(G.n)]
+        blocks = (frozenset({0, 1, 2, 3}), frozenset({3, 4}), frozenset({5, 6, 7, 8}),
+                  frozenset({8, 0}))
+        censored = [heat_bath_sites(blocks, k, frozenset({0, 2, 3, 4}))
+                    for k in range(len(blocks))]
+        assert censored[2] == ()  # a block that misses A reads no site
+        for plans in (glauber, censored, [tuple(range(G.n))]):
+            for seed in (1, 2**64 - 1):
+                self.assert_site_draws_match_at(SharedRandomness(seed, G.n, G.m),
+                                                plans, t_max)
+
+    def test_site_draw_chunks(self, monkeypatch):
+        calls = []
+        uniforms = SharedRandomness.uniforms
+        monkeypatch.setattr(SharedRandomness, "uniforms",
+                            lambda self, steps, words: calls.append(len(steps))
+                            or uniforms(self, steps, words))
+        sr = SharedRandomness(5, 4, 4)
+        plans = [(0, 1), (2, 3)]
+        assert len(list(sr.site_draws(plans, 500))) == 500
+        assert calls == [64, 128, 128, 256, 256, 512, 52, 104]
+        calls.clear()
+        monkeypatch.setattr(randomness, "_SITE_CHUNK", 100)
+        self.assert_site_draws_match_at(sr, plans, 300)
+        assert calls[::2] == [64, 100, 100, 36]

@@ -4,8 +4,10 @@ The fixtures under tests/golden/ hold, for fixed seeds:
 
 * the sha256 of every 200-step run_chain trajectory per kernel kind on
   cycle(8) and random_regular(8,3,1);
-* the coalescence step of coupling_time for the uncensored monotone kinds
-  (a censored pair never coalesces off its censor set);
+* the coalescence step of coupling_time for the uncensored monotone kinds,
+  and [steps, timed_out] of each censored one run CENSORED_T_MAX steps (a
+  censored pair never coalesces off its censor set, so this pins the
+  timeout report; block-3-censored has a block that misses A);
 * the exact transition matrices on path(3), compared at 1e-12;
 * sphere-influence totals on a tree and on a grid, compared at 1e-12.
 
@@ -37,6 +39,7 @@ BETA = 0.4
 STEPS = 200
 SEEDS = (0, 1, 2)
 TOL = 1e-12
+CENSORED_T_MAX = 100
 
 GRAPHS = {
     "cycle(8)": lambda: cycle(8),
@@ -100,11 +103,19 @@ def compute_trajectories() -> dict:
 
 
 def compute_couplings() -> dict:
-    return {f"{g} {k} seed={s}": coupling_time(make(), BETA, spec, s).steps
-            for g, make in GRAPHS.items()
-            for k, spec in CHAIN_SPECS.items()
-            if spec.is_monotone() and spec.censor is None
-            for s in SEEDS}
+    out = {}
+    for g, make in GRAPHS.items():
+        for k, spec in CHAIN_SPECS.items():
+            if not spec.is_monotone():
+                continue
+            for s in SEEDS:
+                if spec.censor is None:
+                    out[f"{g} {k} seed={s}"] = coupling_time(make(), BETA, spec, s).steps
+                else:
+                    res = coupling_time(make(), BETA, spec, s, t_max=CENSORED_T_MAX)
+                    out[f"{g} {k} seed={s} t_max={CENSORED_T_MAX}"] = [res.steps,
+                                                                        res.timed_out]
+    return out
 
 
 def compute_kernels() -> dict:

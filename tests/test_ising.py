@@ -16,6 +16,7 @@ from isingdyn.ising import (
     FeasibilityError,
     _enum_marginals,
     _logaddexp,
+    _logistic,
     beta_c,
     clamped_marginals,
     conditional_marginal,
@@ -499,6 +500,46 @@ class TestFloatLogaddexp:
         got = _logaddexp(np.array([0.5, 1.0]), 0.25)
         assert isinstance(got, np.ndarray)
         assert np.array_equal(got, np.logaddexp(np.array([0.5, 1.0]), 0.25))
+
+
+class TestLogistic:
+    """1 / (1 + exp(d)) with numpy's bits and no overflow warning."""
+
+    EDGES = [-1e308, -745.0, -709.8, -1.0, 0.0, 1.0, 700.0, 709.0,
+             np.nextafter(math.log(np.finfo(float).max), -np.inf),
+             math.log(np.finfo(float).max),
+             np.nextafter(math.log(np.finfo(float).max), np.inf),
+             709.8, 710.0, 1e4, 1e308, np.inf, -np.inf, np.nan]
+
+    def values(self):
+        rng = np.random.default_rng(0x1051)
+        return np.concatenate([rng.normal(0, 300, 2000), self.EDGES])
+
+    def test_same_bits_as_numpy_without_a_warning(self):
+        d = self.values()
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_array = _logistic(d)
+            got_scalars = np.array([_logistic(x) for x in d.tolist()])
+        for got in (got_array, got_scalars):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_array[d > 709.8].tolist() == [0.0] * int(np.sum(d > 709.8))
+
+    def test_input_left_alone(self):
+        d = np.array([1.0, 1e4])
+        _logistic(d)
+        assert d.tolist() == [1.0, 1e4]
+
+    def test_tree_root_past_the_bound(self):
+        # path(3) at beta 1000 with both neighbours of 1 at -: lm - lp = 4000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert clamped_marginals(path(3), 1000.0, 1, {0: -1, 2: -1}) == 0.0
+            got = clamped_marginals(path(3), 1000.0, 1, {0: np.array([-1, 1]),
+                                                         2: np.array([-1, 1])})
+        assert got.tolist() == [0.0, 1.0]
 
 
 def code_leq(x: int, y: int) -> bool:
