@@ -12,6 +12,12 @@ block) read SiteDraws: the selector and u_t(v) for each site v the selected
 vertex or block updates (heat_bath_sites), 2 and 1 + |B_k int A| of the
 step's m + ceil(n/2) + n + 1 words. Both carry the bits at(t) decodes, so
 the coalescence times are the same either way.
+
+The iv and msw pair is two arrays advanced by `step`. The glauber and
+block pair is two lists advanced by one dynamics.HeatBath, which keeps
+each site's plus-probability for the run under the key (k, i, spins at
+the site's clamped set), and a count of the sites where the copies
+differ, updated at the sites each step sets, replaces comparing them.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsSpec, heat_bath_sites, step
+from .dynamics import DynamicsSpec, HeatBath, heat_bath_sites, step
 from .graph import Graph
 # sequential_draws stays bound here: it is the per-step form of the blocks
 # the audit reads, and perfbench's tracer wraps it at every binding
@@ -48,25 +54,38 @@ def coupling_time(G: Graph, beta: float, spec: DynamicsSpec, seed: int,
     """Coalescence time of the all-plus/all-minus coupled pair.
 
     Only meaningful for the monotone kernels; SW is rejected since it has
-    no monotone grand coupling. A timeout is reported, never raised.
+    no monotone grand coupling. A timeout is reported, never raised; a
+    negative t_max is refused.
     """
     if not spec.is_monotone():
         raise ValueError(f"{spec.kind} dynamics has no monotone grand coupling")
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, not {t_max}")
     spec.validate_for(G)
     shared = SharedRandomness(seed, G.n, G.m)
     if spec.kind in ("glauber", "block"):
         r = G.n if spec.blocks is None else len(spec.blocks)
-        plans = [heat_bath_sites(spec.blocks, k, spec.censor) for k in range(r)]
-        stream = shared.site_draws(plans, t_max)
+        sites = [heat_bath_sites(spec.blocks, k, spec.censor) for k in range(r)]
+        bath = HeatBath(G, beta, spec.blocks, spec.censor)
+        upper, lower = [1] * G.n, [-1] * G.n
+        apart = G.n  # sites where the copies differ
+        for t, draws in enumerate(shared.site_draws(sites, t_max), 1):
+            k = draws.block_index(r)
+            for v in sites[k]:
+                apart -= upper[v] != lower[v]
+            bath.update(k, draws.vertex_uniforms, (upper, lower))
+            for v in sites[k]:
+                apart += upper[v] != lower[v]
+            if not apart:
+                return CouplingResult(seed=seed, steps=t, timed_out=False)
     else:
-        stream = map(shared.at, range(1, t_max + 1))
-    upper = np.full(G.n, 1, dtype=np.int8)
-    lower = np.full(G.n, -1, dtype=np.int8)
-    for t, draws in enumerate(stream, 1):
-        upper = step(G, beta, spec, upper, draws)
-        lower = step(G, beta, spec, lower, draws)
-        if np.array_equal(upper, lower):
-            return CouplingResult(seed=seed, steps=t, timed_out=False)
+        upper = np.full(G.n, 1, dtype=np.int8)
+        lower = np.full(G.n, -1, dtype=np.int8)
+        for t, draws in enumerate(map(shared.at, range(1, t_max + 1)), 1):
+            upper = step(G, beta, spec, upper, draws)
+            lower = step(G, beta, spec, lower, draws)
+            if np.array_equal(upper, lower):
+                return CouplingResult(seed=seed, steps=t, timed_out=False)
     return CouplingResult(seed=seed, steps=t_max, timed_out=True)
 
 
@@ -94,6 +113,7 @@ def monotonicity_audit(G: Graph, beta: float, spec: DynamicsSpec, trials: int,
         raise ValueError(f"an audit needs trials >= 1 and steps >= 1, "
                          f"not trials={trials}, steps={steps}")
     spec.validate_for(G)
+    bath = HeatBath(G, beta, spec.blocks, spec.censor)
     violations = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((0xA0D1, seed, trial)))
@@ -104,8 +124,8 @@ def monotonicity_audit(G: Graph, beta: float, spec: DynamicsSpec, trials: int,
         block2 = draw_block(rng2, G.n, G.m, steps) if broken else None
         for draws in block:
             draws2 = next(block2) if broken else draws
-            upper = step(G, beta, spec, upper, draws)
-            lower = step(G, beta, spec, lower, draws2)
+            upper = step(G, beta, spec, upper, draws, bath)
+            lower = step(G, beta, spec, lower, draws2, bath)
             if np.any(upper < lower):
                 violations += 1
                 break

@@ -5,7 +5,8 @@ All step functions are pure given (configuration, StepDraws). Randomness
 consumption is fixed (see randomness module): this makes trajectories
 bit-reproducible and lets the same code drive grand couplings. Glauber and
 block steps read only the selector and the vertex uniforms of
-heat_bath_sites, so they also run on SiteDraws.
+heat_bath_sites, so they also run on SiteDraws. Both are the one-row form
+of HeatBath, whose site loop also steps coupled pairs.
 
 Component spin draws use the component's smallest vertex's stream (its
 root, as `components` returns it) so that cluster steps are independent of
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, distances
 from .ising import ENUM_LIMIT, _logistic, conditional_marginal
 from .randomness import StepDraws, draw_block
 
@@ -35,6 +36,7 @@ __all__ = [
     "glauber_step",
     "block_step",
     "heat_bath_sites",
+    "HeatBath",
     "step",
     "run_chain",
 ]
@@ -44,6 +46,8 @@ KINDS = ("glauber", "block", "sw", "iv", "msw")
 N_DIRECT_LIMIT = 10
 M_CLUSTER_LIMIT = 14
 _EDGE_BITS = 1 << np.arange(M_CLUSTER_LIMIT)  # F @ _EDGE_BITS[:m]: F's row in that table
+# Most conditionals one HeatBath keeps (tens of MiB at most); past it, misses are not kept.
+MEMO_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -218,43 +222,34 @@ def msw_step_alt(G: Graph, beta: float, spins, draws: StepDraws,
     return np.where(held[root], spins, lead)
 
 
-def glauber_step(G: Graph, beta: float, spins, draws: StepDraws) -> np.ndarray:
+def glauber_step(G: Graph, beta: float, spins, draws: StepDraws,
+                 bath: HeatBath | None = None) -> np.ndarray:
     """Heat-bath single-site update at a uniformly chosen vertex.
 
     The threshold form (set + iff u_t(v) <= conditional plus-probability)
-    is the standard monotone grand coupling for Glauber.
+    is the standard monotone grand coupling for Glauber. This is the
+    one-row form of HeatBath without blocks; bath, when given, is
+    HeatBath(G, beta), kept across the steps of a run.
     """
-    spins = np.asarray(spins, dtype=np.int8)
-    v = draws.block_index(G.n)
-    S = int(sum(spins[u] for u in G.adjacency[v]))
-    p_plus = _logistic(-2.0 * beta * S)
-    out = spins.copy()
-    out[v] = 1 if draws.vertex_uniforms[v] <= p_plus else -1
+    out = np.array(spins, dtype=np.int8)
+    (bath or HeatBath(G, beta)).update(draws.block_index(G.n), draws.vertex_uniforms, [out])
     return out
 
 
 def block_step(G: Graph, beta: float, spins, blocks, draws: StepDraws,
-               A: frozenset | None = None) -> np.ndarray:
+               A: frozenset | None = None, bath: HeatBath | None = None) -> np.ndarray:
     """Heat-bath block update: resample A int B_k from the exact conditional.
 
     The block vertices are updated sequentially in increasing index order,
     each from its exact conditional given the already-updated prefix and
     the free set's outer boundary (remaining free vertices are
     marginalized). The threshold form makes this the monotone grand
-    coupling from the proofs.
+    coupling from the proofs. This is the one-row form of HeatBath; bath,
+    when given, is HeatBath(G, beta, blocks, A), kept across the steps of a run.
     """
-    spins = np.asarray(spins, dtype=np.int8)
-    free = heat_bath_sites(blocks, draws.block_index(len(blocks)), A)
-    out = spins.copy()
-    if not free:
-        return out
-    free_set = set(free)
-    # the free set's outer boundary (Markov), then each free vertex once updated
-    boundary = {w: int(spins[w]) for u in free for w in G.adjacency[u]
-                if w not in free_set}
-    for v in free:
-        p_plus = conditional_marginal(G, beta, v, boundary)
-        out[v] = boundary[v] = 1 if draws.vertex_uniforms[v] <= p_plus else -1
+    out = np.array(spins, dtype=np.int8)
+    (bath or HeatBath(G, beta, blocks, A)).update(draws.block_index(len(blocks)),
+                                                  draws.vertex_uniforms, [out])
     return out
 
 
@@ -267,12 +262,82 @@ def heat_bath_sites(blocks, k: int, A: frozenset | None = None) -> tuple:
     return tuple(sorted(blocks[k] if A is None else blocks[k] & A))
 
 
+class HeatBath:
+    """Glauber (blocks None) or block heat-bath updates of one or more rows,
+    keeping each site's clamped set and conditionals while it lives.
+
+    The plan of selector index k is (v, C) for each site v of
+    heat_bath_sites(blocks, k, A), in update order. With the free set's
+    outer boundary and the earlier sites clamped, C is the set of clamped
+    vertices adjacent to v's free component, found on the first use of k
+    by one graph.distances walk. C depends on k and the site, never on the
+    spins.
+
+    By the Markov property, v's plus-probability given every clamped
+    vertex depends only on the spins at C, so site i's key
+    (k, i, spins at C) determines it. `memo` keeps up to MEMO_LIMIT
+    computed values, and rows with equal keys share one lookup. A miss is
+    computed as a single step computes it. A block site calls
+    conditional_marginal with only C clamped: its walk from v stops at C
+    where the full clamping stops it, so the free component, its visit
+    order and every field are the same, and so are the bits. A Glauber
+    site, whose C is its neighbourhood, takes _logistic(-2 beta S) for the
+    neighbour spin sum S.
+    """
+
+    def __init__(self, G: Graph, beta: float, blocks=None, A: frozenset | None = None):
+        self.G, self.beta, self.blocks, self.A = G, beta, blocks, A
+        self.plans = {}
+        self.memo = {}
+
+    def plan(self, k: int) -> tuple:
+        plan = self.plans.get(k)
+        if plan is None:
+            adj = self.G.adjacency
+            free = heat_bath_sites(self.blocks, k, self.A)
+            clamped = {w for v in free for w in adj[v]}
+            clamped.difference_update(free)
+            plan = []
+            for v in free:
+                C = {w for u in distances(self.G, v, clamped) for w in adj[u] if w in clamped}
+                plan.append((v, tuple(sorted(C))))
+                clamped.add(v)
+            plan = self.plans[k] = tuple(plan)
+        return plan
+
+    def update(self, k: int, uniforms, rows):
+        """Set each row's sites of plan(k) in order, in place: site v to +1
+        iff uniforms[v] <= its plus-probability in that row, else -1."""
+        memo = self.memo
+        for i, (v, C) in enumerate(self.plan(k)):
+            u = uniforms[v]
+            key = None
+            for row in rows:
+                new = (k, i, *map(row.__getitem__, C))
+                if new != key:
+                    key = new
+                    p = memo.get(key)
+                    if p is None:
+                        p = self._marginal(v, C, key[2:])
+                        if len(memo) < MEMO_LIMIT:
+                            memo[key] = p
+                row[v] = 1 if u <= p else -1
+
+    def _marginal(self, v: int, C: tuple, spins: tuple) -> float:
+        spins = map(int, spins)  # numpy's int8 would wrap past degree 127
+        if self.blocks is None:
+            return _logistic(-2.0 * self.beta * sum(spins))
+        return conditional_marginal(self.G, self.beta, v, dict(zip(C, spins)))
+
+
 def step(G: Graph, beta: float, spec: DynamicsSpec, spins,
-         draws: StepDraws) -> np.ndarray:
+         draws: StepDraws, bath: HeatBath | None = None) -> np.ndarray:
     """One step of the chain named by spec (validated by the caller).
 
     The kernels are looked up as module globals at call time, so a
     rebinding of a kernel (e.g. an instrumented one) is always used.
+    bath, when given, is HeatBath(G, beta, spec.blocks, spec.censor): the
+    glauber and block steps of one run share its plans and memo.
     """
     kind, A = spec.kind, spec.censor
     if kind == "sw":
@@ -282,8 +347,8 @@ def step(G: Graph, beta: float, spec: DynamicsSpec, spins,
     if kind == "msw":
         return msw_step_alt(G, beta, spins, draws, A)
     if kind == "glauber":
-        return glauber_step(G, beta, spins, draws)
-    return block_step(G, beta, spins, spec.blocks, draws, A)
+        return glauber_step(G, beta, spins, draws, bath)
+    return block_step(G, beta, spins, spec.blocks, draws, A, bath)
 
 
 def run_chain(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
@@ -307,9 +372,10 @@ def run_chain(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
             raise ValueError(f"start must be {G.n} spins, each +1 or -1")
         spins = spins.astype(np.int8)
     rng = np.random.default_rng(np.random.SeedSequence((0xD1CE, seed)))
+    bath = HeatBath(G, beta, spec.blocks, spec.censor)
     collected = []
     for t, draws in enumerate(draw_block(rng, G.n, G.m, steps)):
-        spins = step(G, beta, spec, spins, draws)
+        spins = step(G, beta, spec, spins, draws, bath)
         if collect_every and t + 1 > collect_after \
                 and (t + 1 - collect_after) % collect_every == 0:
             collected.append(spins.copy())

@@ -671,6 +671,16 @@ class TestOverflowingBeta:
         assert res.stdout == ("seed,n,beta,dynamics,coalescence_step,timeout_flag\n"
                               "0,8,1000.0,glauber,200,1\n")
 
+    def test_glauber_couple_runs_at_any_beta(self):
+        # Glauber computes -2 beta S itself: no spread check, so it never
+        # exits 2 (at S = 0, -inf * 0 is nan and the site is set to -1)
+        res = run_cli("couple", "--graph", "cycle(8)", "--beta", "1e308", "--dynamics",
+                      '{"kind":"glauber"}', "--t-max", "200", "--seeds", "3")
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout == ("seed,n,beta,dynamics,coalescence_step,timeout_flag\n"
+                              "0,8,1e+308,glauber,200,1\n1,8,1e+308,glauber,200,1\n"
+                              "2,8,1e+308,glauber,200,1\n")
+
     def test_assm_tree_root_past_exp_range_is_silent(self):
         res = run_cli("assm", "--graph", "path(3)", "--beta", "1000", "--r-max", "1")
         assert res.returncode == 0 and res.stderr == ""

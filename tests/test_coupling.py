@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isingdyn import dynamics
 from isingdyn.coupling import (
     CouplingResult,
     coupling_time,
@@ -71,6 +73,12 @@ class TestCouplingTime:
         with pytest.raises(ValueError):
             coupling_time(EDGE, 0.5, DynamicsSpec("sw"), seed=0)
 
+    @pytest.mark.parametrize("kind", ["iv", "glauber"])
+    def test_negative_t_max_refused(self, kind):
+        # a run of no steps is t_max = 0; -5 steps were reported as a timeout
+        with pytest.raises(ValueError, match=r"^t_max must be >= 0, not -5$"):
+            coupling_time(cycle(8), 0.3, DynamicsSpec(kind), 1, t_max=-5)
+
     def test_timeout_reported(self):
         # fully censored IV never moves, so the pair can never coalesce
         res = coupling_time(cycle(4), 0.3,
@@ -118,6 +126,37 @@ HEAT_BATH_SPECS = {
 }
 
 
+@st.composite
+def heat_bath_cases(draw):
+    """(G, spec): a Hamiltonian cycle in random order plus random chords on
+    3..10 vertices, so that free components with cycles are enumerated,
+    and glauber or block dynamics. Blocks are random vertex sets
+    (overlaps allowed) plus the uncovered rest, or singletons; the censor
+    set is none or any subset, so some blocks miss it."""
+    n = draw(st.integers(3, 10))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[i], order[i - 1]) for i in range(n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=n))
+    edges = {}
+    for u, w in pairs:
+        if u != w:
+            edges.setdefault(frozenset((u, w)), (u, w))
+    G = Graph(n=n, edges=tuple(edges.values()))
+    kind = draw(st.sampled_from(["glauber", "blocks", "singletons"]))
+    if kind == "glauber":
+        return G, DynamicsSpec("glauber")
+    if kind == "singletons":
+        blocks = tuple(frozenset({v}) for v in range(n))
+    else:
+        blocks = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1),
+                               min_size=1, max_size=4))
+        rest = frozenset(range(n)).difference(*blocks)
+        blocks = tuple(blocks + ([rest] if rest else []))
+    censor = draw(st.none() | st.frozensets(st.integers(0, n - 1)))
+    return G, DynamicsSpec("block", blocks=blocks, censor=censor)
+
+
 class TestSiteDrawCouplings:
     """glauber and block couplings read site draws; at(t) is the reference."""
 
@@ -141,6 +180,50 @@ class TestSiteDrawCouplings:
         want = at_coupling_time(G, 0.3, spec, seed, 10**5)
         assert not want.timed_out
         assert coupling_time(G, 0.3, spec, seed, 10**5) == want
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_equals_per_step_at_on_graphs_with_cycles(self, data):
+        G, spec = data.draw(heat_bath_cases())
+        beta = data.draw(st.sampled_from([0.0, 0.3, 1.5]))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        t_max = data.draw(st.sampled_from([1, 4, 30, 300]))  # short runs time out
+        assert coupling_time(G, beta, spec, seed, t_max) == \
+            at_coupling_time(G, beta, spec, seed, t_max)
+
+    def test_memo_bounds_block_marginals(self, monkeypatch):
+        # block8 on cycle(256): site i of block k has the two clamped
+        # neighbours of its free component, so at most 32 * 8 * 4 keys
+        G = cycle(256)
+        spec = DynamicsSpec("block", blocks=tuple(frozenset(range(i, i + 8))
+                                                   for i in range(0, 256, 8)))
+        calls = []
+        marginal = dynamics.conditional_marginal
+        monkeypatch.setattr(dynamics, "conditional_marginal",
+                            lambda G, beta, v, clamp: calls.append((v, *sorted(clamp.items())))
+                            or marginal(G, beta, v, clamp))
+        res = coupling_time(G, 0.3, spec, seed=1, t_max=10**5)
+        assert not res.timed_out
+        assert len(set(calls)) == len(calls) <= 32 * 8 * 4
+        assert all(len(c) == 3 for c in calls)  # v and its two clamped spins
+        # without the memo both copies compute all 8 sites of every step
+        assert len(calls) < 2 * 8 * res.steps
+
+    def test_memo_limit(self, monkeypatch):
+        # past MEMO_LIMIT values a miss is computed and not kept
+        monkeypatch.setattr(dynamics, "MEMO_LIMIT", 4)
+        G, spec = cycle(9), HEAT_BATH_SPECS["overlapping"]
+        assert coupling_time(G, 1.5, spec, 3, 500) == at_coupling_time(G, 1.5, spec, 3, 500)
+        bath = dynamics.HeatBath(G, 1.5, spec.blocks)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            k, row = int(rng.integers(4)), rng.choice(np.int8([-1, 1]), 9)
+            uniforms = dict(enumerate(rng.random(9).tolist()))
+            want = row.copy()
+            dynamics.HeatBath(G, 1.5, spec.blocks).update(k, uniforms, [want])
+            bath.update(k, uniforms, [row])
+            assert np.array_equal(row, want)
+        assert len(bath.memo) == 4
 
     @pytest.mark.parametrize("spec, reads_at", [
         (DynamicsSpec("glauber"), False),
@@ -216,10 +299,15 @@ class TestMonotonicityAudit:
         with pytest.raises(ValueError, match="trials >= 1 and steps >= 1"):
             monotonicity_audit(cycle(8), 0.4, DynamicsSpec("iv"), trials, steps, 0)
 
-    @pytest.mark.parametrize("broken", [False, True])
-    def test_counts_equal_sequential_audit(self, broken):
-        # the audit's blocks reproduce one sequential_draws call per step
-        G, spec, trials, steps = cycle(7), DynamicsSpec("iv"), 40, 25
+    @pytest.mark.parametrize("broken, spec", [
+        (broken, spec) for spec in (DynamicsSpec("iv"), DynamicsSpec(
+            "block", blocks=(frozenset({0, 1, 2}), frozenset({2, 3, 4, 5}),
+                             frozenset({5, 6, 0})), censor=frozenset(range(6))))
+        for broken in (False, True)], ids=["False", "True", "block-False", "block-True"])
+    def test_counts_equal_sequential_audit(self, broken, spec):
+        # the audit's blocks reproduce one sequential_draws call per step, and
+        # its one HeatBath for every step gives each step's own values
+        G, trials, steps = cycle(7), 40, 25
         want = 0
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence((0xA0D1, 3, trial)))

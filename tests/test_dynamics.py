@@ -569,6 +569,13 @@ class TestStepFunctions:
         assert glauber_step(G, 0.5, start, d_lo)[0] == 1
         assert glauber_step(G, 0.5, start, d_hi)[0] == -1
 
+    def test_glauber_spin_sum_past_int8(self):
+        # 200 plus neighbours: S = 200, which an int8 sum wraps to -56
+        G = Graph(n=201, edges=tuple((0, v) for v in range(1, 201)))
+        d = fixed_draws(G, vert_u=0.9, selector=0.0)  # picks vertex 0
+        p_plus = 1.0 / (1.0 + math.exp(-2.0 * 0.01 * 200))  # 0.982
+        assert glauber_step(G, 0.01, np.ones(201, dtype=np.int8), d)[0] == 1 and p_plus > 0.9
+
     def test_block_disjoint_censor_identity(self):
         G = path(3)
         blocks = (frozenset({0, 1}), frozenset({2}))
