@@ -8,10 +8,11 @@ and all-minus sandwich every other start.
 coupling_time reads step t's fields from SharedRandomness by counter. The
 cluster kinds (iv, msw) read the whole step, StepDraws from at(t): m edge
 uniforms, the spins and n vertex uniforms. The heat-bath kinds (glauber,
-block) read SiteDraws: the selector and u_t(v) for each site v the selected
-vertex or block updates (heat_bath_sites), 2 and 1 + |B_k int A| of the
-step's m + ceil(n/2) + n + 1 words. Both carry the bits at(t) decodes, so
-the coalescence times are the same either way.
+block) read (k, thresholds) from site_draws: the selector index and u_t(v)
+for each site v the selected vertex or block updates (heat_bath_sites), in
+update order, 2 and 1 + |B_k int A| of the step's m + ceil(n/2) + n + 1
+words. Both carry the bits at(t) decodes, so the coalescence times are the
+same either way.
 
 The iv and msw pair is two arrays advanced by `step`. The glauber and
 block pair is two lists advanced by one dynamics.HeatBath, which keeps
@@ -64,16 +65,15 @@ def coupling_time(G: Graph, beta: float, spec: DynamicsSpec, seed: int,
     spec.validate_for(G)
     shared = SharedRandomness(seed, G.n, G.m)
     if spec.kind in ("glauber", "block"):
-        r = G.n if spec.blocks is None else len(spec.blocks)
-        sites = [heat_bath_sites(spec.blocks, k, spec.censor) for k in range(r)]
+        sites = [heat_bath_sites(spec.blocks, k, spec.censor)
+                 for k in range(G.n if spec.blocks is None else len(spec.blocks))]
         bath = HeatBath(G, beta, spec.blocks, spec.censor)
         upper, lower = [1] * G.n, [-1] * G.n
         apart = G.n  # sites where the copies differ
-        for t, draws in enumerate(shared.site_draws(sites, t_max), 1):
-            k = draws.block_index(r)
+        for t, (k, thresholds) in enumerate(shared.site_draws(sites, t_max), 1):
             for v in sites[k]:
                 apart -= upper[v] != lower[v]
-            bath.update(k, draws.vertex_uniforms, (upper, lower))
+            bath.update(k, thresholds, (upper, lower))
             for v in sites[k]:
                 apart += upper[v] != lower[v]
             if not apart:

@@ -4,9 +4,8 @@ monotone-SW, and their censored variants.
 All step functions are pure given (configuration, StepDraws). Randomness
 consumption is fixed (see randomness module): this makes trajectories
 bit-reproducible and lets the same code drive grand couplings. Glauber and
-block steps read only the selector and the vertex uniforms of
-heat_bath_sites, so they also run on SiteDraws. Both are the one-row form
-of HeatBath, whose site loop also steps coupled pairs.
+block steps are the one-row form of HeatBath.update(k, thresholds, rows),
+which coupled pairs drive from site_draws (the format is in randomness).
 
 Component spin draws use the component's smallest vertex's stream (its
 root, as `components` returns it) so that cluster steps are independent of
@@ -81,15 +80,16 @@ class DynamicsSpec:
                              "as block dynamics with singleton blocks")
 
     def validate_for(self, G: Graph):
+        union = set().union(*self.blocks or ())
+        for what, vs in (("block", union), ("censor", self.censor or ())):
+            if bad := sorted(v for v in vs if not 0 <= v < G.n):
+                raise ValueError(f"{what} vertex {bad[0]} out of range for n={G.n}")
         if self.blocks is not None:
-            union = set().union(*self.blocks)
             if union != set(range(G.n)):
                 raise ValueError("blocks must cover every vertex")
             for b in self.blocks:
                 if len(b) > ENUM_LIMIT:
                     raise ValueError("block too large for exact conditional sampling")
-        if self.censor is not None and not all(0 <= v < G.n for v in self.censor):
-            raise ValueError("censor set out of range")
 
     def is_monotone(self) -> bool:
         return self.kind in ("glauber", "block", "iv", "msw")
@@ -232,7 +232,8 @@ def glauber_step(G: Graph, beta: float, spins, draws: StepDraws,
     HeatBath(G, beta), kept across the steps of a run.
     """
     out = np.array(spins, dtype=np.int8)
-    (bath or HeatBath(G, beta)).update(draws.block_index(G.n), draws.vertex_uniforms, [out])
+    k = draws.block_index(G.n)
+    (bath or HeatBath(G, beta)).update(k, (draws.vertex_uniforms[k],), [out])
     return out
 
 
@@ -248,8 +249,10 @@ def block_step(G: Graph, beta: float, spins, blocks, draws: StepDraws,
     when given, is HeatBath(G, beta, blocks, A), kept across the steps of a run.
     """
     out = np.array(spins, dtype=np.int8)
-    (bath or HeatBath(G, beta, blocks, A)).update(draws.block_index(len(blocks)),
-                                                  draws.vertex_uniforms, [out])
+    bath = bath or HeatBath(G, beta, blocks, A)
+    k = draws.block_index(len(blocks))
+    u = draws.vertex_uniforms
+    bath.update(k, [u[v] for v, _ in bath.plan(k)], [out])
     return out
 
 
@@ -305,12 +308,13 @@ class HeatBath:
             plan = self.plans[k] = tuple(plan)
         return plan
 
-    def update(self, k: int, uniforms, rows):
-        """Set each row's sites of plan(k) in order, in place: site v to +1
-        iff uniforms[v] <= its plus-probability in that row, else -1."""
+    def update(self, k: int, thresholds, rows):
+        """Set each row's sites of plan(k) in order, in place: the i-th site
+        to +1 iff thresholds[i] <= its plus-probability in that row, else -1.
+        Fewer thresholds than sites raise IndexError."""
         memo = self.memo
         for i, (v, C) in enumerate(self.plan(k)):
-            u = uniforms[v]
+            u = thresholds[i]
             key = None
             for row in rows:
                 new = (k, i, *map(row.__getitem__, C))
@@ -362,8 +366,10 @@ def run_chain(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
     draw_block. start, when given, is n spins of +1 or -1.
     """
     spec.validate_for(G)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, not {steps}")
+    for name, value in (("steps", steps), ("collect_every", collect_every),
+                        ("collect_after", collect_after)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, not {value}")
     if start is None:
         spins = np.full(G.n, 1, dtype=np.int8)
     else:

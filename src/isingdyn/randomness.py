@@ -38,7 +38,9 @@ A heat-bath step (Glauber or block) reads only its selector, word m+h+n,
 and then u_t(v), word m+h+v, for each site v of the block the selector
 picks. The sites depend on the selector alone, never on the state, so
 site_draws reads a chunk of steps with two such calls (the selectors, then
-every chosen site) and yields SiteDraws holding exactly those fields.
+every chosen site) and yields each step as (k, thresholds), the heat-bath
+draw format: selector index k, and thresholds[i] = u_t(v) for the i-th site
+v that k updates, in update order, as every heat-bath step reads them.
 
 A sequential generator (`sequential_draws`, used by single chains and
 audits) reads one stream, so steps are not independent blocks. With
@@ -59,11 +61,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["StepDraws", "SiteDraws", "SharedRandomness", "sequential_draws", "draw_block"]
+__all__ = ["StepDraws", "SharedRandomness", "sequential_draws", "draw_block"]
 
 _STREAM_TAG = 0x1517C0DE
 _TO_UNIT = 2.0 ** -53
@@ -92,17 +93,6 @@ class StepDraws:
     def block_index(self, r: int) -> int:
         """The selector's index in [0, r): a block, or Glauber's vertex."""
         return min(int(self.selector * r), r - 1)
-
-
-class SiteDraws(NamedTuple):
-    """The fields a heat-bath step reads: its selector, and u_t(v) for only
-    the sites v it updates (vertex_uniforms maps each to its float, so a
-    read of any other vertex raises KeyError)."""
-
-    selector: float
-    vertex_uniforms: dict
-
-    block_index = StepDraws.block_index
 
 
 class SharedRandomness:
@@ -145,8 +135,9 @@ class SharedRandomness:
         return (word >> _SHIFT) * _TO_UNIT
 
     def site_draws(self, plans, t_max: int):
-        """Yield the SiteDraws of steps 1..t_max, for a step whose selector
-        index k (of r = len(plans)) reads the vertex uniforms of plans[k].
+        """Yield (k, thresholds) for steps 1..t_max: k is the step's
+        block_index(len(plans)), and thresholds the list of the floats
+        u_t(v) for v in plans[k], in that order.
 
         Each chunk of steps costs two uniforms calls, the selectors and
         then every site they pick; chunks double from 64 steps up to
@@ -166,13 +157,12 @@ class SharedRandomness:
             ks = np.minimum((sel * r).astype(np.intp), r - 1)  # block_index, per step
             sites = table[ks]
             picked = sites >= 0
-            u = self.uniforms(np.repeat(steps, picked.sum(axis=1)),
-                              base + sites[picked]).tolist()
+            counts = picked.sum(axis=1)
+            u = self.uniforms(np.repeat(steps, counts), base + sites[picked]).tolist()
             i = 0
-            for x, k in zip(sel.tolist(), ks.tolist()):
-                p = plans[k]
-                yield SiteDraws(x, dict(zip(p, u[i:i + len(p)])))
-                i += len(p)
+            for k, j in zip(ks.tolist(), np.cumsum(counts).tolist()):
+                yield k, u[i:j]
+                i = j
             t += T
             T = min(2 * T, _SITE_CHUNK)
 

@@ -89,6 +89,14 @@ class TestSample:
                                    "--dynamics", '{"kind": "wolff"}'])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("v", [99, -1])
+    def test_block_vertex_out_of_range_exit2(self, v):
+        blocks = json.dumps({"kind": "block", "blocks": [list(range(8)), [v]]})
+        res = runner.invoke(main, ["couple", "--graph", "cycle(8)", "--beta", "0.3",
+                                   "--dynamics", blocks])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stderr.splitlines() == [f"error: block vertex {v} out of range for n=8"]
+
 
 IV = ["--dynamics", '{"kind": "iv"}']
 UNWRITABLE = os.path.join(os.devnull, "out.csv")  # its parent is a file, not a directory

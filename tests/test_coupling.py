@@ -218,10 +218,10 @@ class TestSiteDrawCouplings:
         rng = np.random.default_rng(0)
         for _ in range(50):
             k, row = int(rng.integers(4)), rng.choice(np.int8([-1, 1]), 9)
-            uniforms = dict(enumerate(rng.random(9).tolist()))
+            thresholds = rng.random(len(bath.plan(k))).tolist()  # one per site
             want = row.copy()
-            dynamics.HeatBath(G, 1.5, spec.blocks).update(k, uniforms, [want])
-            bath.update(k, uniforms, [row])
+            dynamics.HeatBath(G, 1.5, spec.blocks).update(k, thresholds, [want])
+            bath.update(k, thresholds, [row])
             assert np.array_equal(row, want)
         assert len(bath.memo) == 4
 

@@ -13,6 +13,7 @@ from isingdyn.dynamics import (
     M_CLUSTER_LIMIT,
     N_DIRECT_LIMIT,
     DynamicsSpec,
+    HeatBath,
     _label,
     agreeing_edges,
     block_step,
@@ -33,7 +34,6 @@ from isingdyn import randomness
 from isingdyn.randomness import (
     _STREAM_TAG,
     SharedRandomness,
-    SiteDraws,
     StepDraws,
     draw_block,
     sequential_draws,
@@ -340,6 +340,12 @@ class TestHeatBathSteps:
         assert_identical(block_step(G, beta, spins, blocks, d, A),
                          loop_block_step(G, beta, spins, blocks, d, A))
 
+    @pytest.mark.parametrize("blocks", [None, (frozenset({0, 1, 2}), frozenset({3, 4, 5}))])
+    def test_update_refuses_short_thresholds(self, blocks):
+        bath = HeatBath(cycle(6), 0.4, blocks)
+        with pytest.raises(IndexError):
+            bath.update(1, [0.5] * (len(bath.plan(1)) - 1), [np.ones(6, dtype=np.int8)])
+
 
 class TestDynamicsSpec:
     def test_unknown_kind(self):
@@ -366,6 +372,16 @@ class TestDynamicsSpec:
         spec = DynamicsSpec("block", blocks=(frozenset({0}),))
         with pytest.raises(ValueError):
             spec.validate_for(path(3))
+
+    @pytest.mark.parametrize("spec, message", [
+        # the blocks cover V, so the stray vertex is the fault, not coverage
+        (DynamicsSpec("block", blocks=(frozenset(range(8)), frozenset({99}))), "block vertex 99"),
+        (DynamicsSpec("block", blocks=(frozenset(range(8)), frozenset({-1}))), "block vertex -1"),
+        (DynamicsSpec("iv", censor=frozenset({0, 9, 8})), "censor vertex 8"),
+    ])
+    def test_vertex_out_of_range_named(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message} out of range for n=8$"):
+            spec.validate_for(cycle(8))
 
     @pytest.mark.parametrize("size,ok", [(ENUM_LIMIT, True), (ENUM_LIMIT + 1, False)])
     def test_block_size_limit(self, size, ok):
@@ -674,6 +690,13 @@ class TestRunChain:
         with pytest.raises(ValueError, match="steps must be >= 0"):
             run_chain(cycle(4), 0.4, DynamicsSpec("iv"), -1, seed=0)
 
+    @pytest.mark.parametrize("every, after, name", [(-1, 0, "collect_every"),
+                                                    (2, -4, "collect_after")])
+    def test_negative_collection_refused(self, every, after, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, not -"):
+            run_chain(cycle(8), 0.4, DynamicsSpec("iv"), 6, seed=0,
+                      collect_every=every, collect_after=after)
+
     def test_zero_steps_returns_start(self):
         start = [1, -1, 1, -1]
         out, collected = run_chain(cycle(4), 0.4, DynamicsSpec("iv"), 0, seed=0,
@@ -839,18 +862,12 @@ class TestSharedRandomness:
     def assert_site_draws_match_at(self, sr, plans, t_max):
         got = list(sr.site_draws(plans, t_max))
         assert len(got) == t_max
-        for t, d in enumerate(got, 1):
+        for t, (k, thresholds) in enumerate(got, 1):
             full = sr.at(t)
-            assert type(d) is SiteDraws
-            assert type(d.selector) is float and d.selector == full.selector
-            k = d.block_index(len(plans))
-            assert k == full.block_index(len(plans))
-            assert list(d.vertex_uniforms) == list(plans[k])
-            for v, u in d.vertex_uniforms.items():
+            assert type(k) is int and k == full.block_index(len(plans))
+            assert len(thresholds) == len(plans[k])
+            for v, u in zip(plans[k], thresholds):
                 assert type(u) is float and u == full.vertex_uniforms[v]
-            for v in set(range(sr.n)) - set(plans[k]):
-                with pytest.raises(KeyError):
-                    d.vertex_uniforms[v]
 
     @pytest.mark.parametrize("t_max", [0, 1, 63, 64, 65, 64 + 128 + 256 + 7])
     def test_site_draws_match_at(self, t_max):
