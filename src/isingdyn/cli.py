@@ -5,7 +5,9 @@ settings COMMANDS gives it, from flags or a JSON config document (--config)
 that may set no other key; flags win over config fields. The default seed
 comes from ISINGDYN_SEED when neither a flag nor a config supplies one.
 
-Exit codes: 0 success, 1 check failure, 2 invalid input.
+Exit codes: 0 success, 1 check failure, 2 invalid input. Commands and the
+helpers they call raise ValueError (or OverflowError) for invalid input;
+_Main alone turns it into one `error:` line and exit 2.
 """
 
 from __future__ import annotations
@@ -64,15 +66,15 @@ class Settings:
                 with open(config_path) as fh:
                     cfg = json.load(fh)
             except (OSError, ValueError) as exc:
-                _fail_invalid(f"config {config_path}: {exc}")
+                raise ValueError(f"config {config_path}: {exc}") from exc
             if not isinstance(cfg, dict):
-                _fail_invalid(f"config {config_path}: not a JSON object")
+                raise ValueError(f"config {config_path}: not a JSON object")
             for key, value in sorted(cfg.items()):
                 if key not in flags:
-                    _fail_invalid(f"config {config_path}: this command takes no {key!r}")
+                    raise ValueError(f"config {config_path}: this command takes no {key!r}")
                 if isinstance(value, bool) or not isinstance(
                         value, (_CONFIG_TYPES.get(key, (int, float)), type(None))):
-                    _fail_invalid(f"config {config_path}: {key} has the wrong JSON type")
+                    raise ValueError(f"config {config_path}: {key} has the wrong JSON type")
         self.values = dict(cfg)
         for k, v in flags.items():
             if v is not None:
@@ -84,18 +86,18 @@ class Settings:
 
     def require(self, key):
         if key not in self.values or self.values[key] is None:
-            _fail_invalid(f"missing required setting {key!r}")
+            raise ValueError(f"missing required setting {key!r}")
         return self.values[key]
 
     def count(self, key, default: int, low: int, high: float = math.inf) -> int:
-        """An integer setting in [low, high], `default` when unset; else exit 2."""
+        """An integer setting in [low, high], `default` when unset; else ValueError."""
         raw = self.get(key, default)
         try:
             value = None if isinstance(raw, float) and not raw.is_integer() else int(raw)
         except (TypeError, ValueError):
             value = None
         if value is None or not low <= value <= high:
-            _fail_invalid(f"{key} must be an integer in [{low}, {high}], got {raw!r}")
+            raise ValueError(f"{key} must be an integer in [{low}, {high}], got {raw!r}")
         return value
 
     def beta(self) -> float:
@@ -104,7 +106,7 @@ class Settings:
         except OverflowError:  # an integer past the float range
             beta = math.nan
         if not (math.isfinite(beta) and beta >= 0.0):
-            _fail_invalid(f"beta must be a finite number >= 0, got {self.get('beta')!r}")
+            raise ValueError(f"beta must be a finite number >= 0, got {self.get('beta')!r}")
         return beta
 
     def seed(self) -> int:
@@ -151,7 +153,7 @@ def _open_out(settings):
     try:
         return open(out, "w") if out else sys.stdout
     except (OSError, ValueError) as exc:  # ValueError: a NUL in a config's path
-        _fail_invalid(f"cannot write --out: {exc}")
+        raise ValueError(f"cannot write --out: {exc}") from exc
 
 
 def _dynamics_spec(settings) -> DynamicsSpec:
@@ -161,12 +163,13 @@ def _dynamics_spec(settings) -> DynamicsSpec:
     try:
         return DynamicsSpec.from_json(raw)
     except (KeyError, TypeError, ValueError) as exc:
-        _fail_invalid(f"bad dynamics spec: {exc}")
+        raise ValueError(f"bad dynamics spec: {exc}") from exc
 
 
 class _Main(click.Group):
-    """Click's usage errors, the group's own options included, exit 2 with one
-    `error:` line; with no arguments at all the help screen stays."""
+    """The one invalid-input boundary: click's usage errors, the group's own
+    options included, and a command's ValueError or OverflowError exit 2 with
+    one `error:` line; with no arguments at all the help screen stays."""
 
     def parse_args(self, ctx, args):
         try:
@@ -181,6 +184,8 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except click.UsageError as exc:
             _fail_invalid(exc.format_message())
+        except (ValueError, OverflowError) as exc:  # GraphError, LinAlgError too
+            _fail_invalid(str(exc))
 
 
 @click.group(cls=_Main)
@@ -203,22 +208,16 @@ def sample(config, **flags):
     steps; --steps 0 echoes the post-burn-in configuration once.
     """
     s = Settings(config, flags)
-    try:
-        G = parse_graph(s.require("graph"))
-        spec = _dynamics_spec(s)
-        spec.validate_for(G)
-    except (GraphError, ValueError) as exc:
-        _fail_invalid(str(exc))
+    G = parse_graph(s.require("graph"))
+    spec = _dynamics_spec(s)
+    spec.validate_for(G)
     beta = s.beta()
     steps = s.count("steps", 0, 0)
     burnin = s.count("burnin", 0, 0)
     seed = s.seed()
     with _open_out(s) as fh:
-        try:
-            final, collected = run_chain(G, beta, spec, burnin + steps, seed,
-                                         collect_every=1, collect_after=burnin)
-        except ValueError as exc:  # a beta whose block marginals overflow
-            _fail_invalid(str(exc))
+        final, collected = run_chain(G, beta, spec, burnin + steps, seed,
+                                     collect_every=1, collect_after=burnin)
         lines = ["".join("+" if x > 0 else "-" for x in st) for st in collected or [final]]
         fh.write("\n".join(lines) + "\n")
 
@@ -227,14 +226,11 @@ def sample(config, **flags):
 def couple(config, **flags):
     """Coalescence times of the all-plus/all-minus coupled pair, as CSV."""
     s = Settings(config, flags)
-    try:
-        G = parse_graph(s.require("graph"))
-        spec = _dynamics_spec(s)
-        spec.validate_for(G)
-        if not spec.is_monotone():
-            raise ValueError("sw dynamics has no monotone grand coupling")
-    except (GraphError, ValueError) as exc:
-        _fail_invalid(str(exc))
+    G = parse_graph(s.require("graph"))
+    spec = _dynamics_spec(s)
+    spec.validate_for(G)
+    if not spec.is_monotone():
+        raise ValueError("sw dynamics has no monotone grand coupling")
     beta = s.beta()
     n_seeds = s.count("seeds", 1, 1)
     base_seed = s.seed()
@@ -243,16 +239,13 @@ def couple(config, **flags):
 
     seeds = range(base_seed, base_seed + n_seeds)
     with _open_out(s) as fh:
-        try:
-            if workers > 1:
-                # the graph travels once per worker; seeds are dealt one at a time
-                with ProcessPoolExecutor(max_workers=workers, initializer=_couple_init,
-                                         initargs=(G, beta, spec, t_max)) as pool:
-                    results = list(pool.map(_couple_seed, seeds))
-            else:
-                results = [coupling_time(G, beta, spec, seed, t_max) for seed in seeds]
-        except ValueError as exc:  # a beta whose block marginals overflow
-            _fail_invalid(str(exc))
+        if workers > 1:
+            # the graph travels once per worker; seeds are dealt one at a time
+            with ProcessPoolExecutor(max_workers=workers, initializer=_couple_init,
+                                     initargs=(G, beta, spec, t_max)) as pool:
+                results = list(pool.map(_couple_seed, seeds))
+        else:
+            results = [coupling_time(G, beta, spec, seed, t_max) for seed in seeds]
         fh.write("seed,n,beta,dynamics,coalescence_step,timeout_flag\n")
         for r in results:  # seeds in order; map preserves it
             fh.write(f"{r.seed},{G.n},{beta},{spec.kind},{r.steps},"
@@ -353,15 +346,12 @@ def _check_failed(c) -> bool:
 def verify(config, **flags):
     """Run the exact check battery; exit 1 iff a check fails or none ran."""
     s = Settings(config, flags)
-    try:
-        G = parse_graph(s.require("graph"))
-        spec = _dynamics_spec(s)
-        spec.validate_for(G)
-        eps = float(s.get("eps", 0.25))
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    except (GraphError, OverflowError, TypeError, ValueError) as exc:
-        _fail_invalid(str(exc))
+    G = parse_graph(s.require("graph"))
+    spec = _dynamics_spec(s)
+    spec.validate_for(G)
+    eps = float(s.get("eps", 0.25))  # a number: Settings checks a config's types
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     beta = s.beta()
     with _open_out(s) as fh:
         checks = _verify_checks(G, beta, spec, eps)
@@ -380,26 +370,19 @@ def gap(config, **flags):
     """Spectral gaps of SW and IV across a size sweep, as CSV."""
     s = Settings(config, flags)
     beta = s.beta()
-    try:
-        family = s.get("family", "cycle")
-        graphs = [generate(family, int(x)) for x in str(s.require("sizes")).split(",")]
-        if any(G.n > exact.N_DIRECT_LIMIT for G in graphs):
-            raise ValueError(f"sizes must be at most {exact.N_DIRECT_LIMIT} "
-                             "for exact kernels")
-    except ValueError as exc:
-        _fail_invalid(str(exc))
+    family = s.get("family", "cycle")
+    graphs = [generate(family, int(x)) for x in str(s.require("sizes")).split(",")]
+    if any(G.n > exact.N_DIRECT_LIMIT for G in graphs):
+        raise ValueError(f"sizes must be at most {exact.N_DIRECT_LIMIT} for exact kernels")
     rows = []
-    try:  # every row before --out is opened
-        for G in graphs:
-            sw = exact.transition_matrix(G, beta, DynamicsSpec("sw"))
-            iv = exact.transition_matrix(G, beta, DynamicsSpec("iv"))
-            g_sw = exact.spectral_report(sw.P, sw.mu)
-            g_iv = exact.spectral_report(iv.P, iv.mu)
-            rows.append((G.n, g_sw.gap, g_iv.gap,
-                         g_sw.relaxation if g_sw.relaxation_finite else "",
-                         g_iv.relaxation if g_iv.relaxation_finite else ""))
-    except ValueError as exc:  # numpy's LinAlgError is one
-        _fail_invalid(str(exc))
+    for G in graphs:  # every row before --out is opened
+        sw = exact.transition_matrix(G, beta, DynamicsSpec("sw"))
+        iv = exact.transition_matrix(G, beta, DynamicsSpec("iv"))
+        g_sw = exact.spectral_report(sw.P, sw.mu)
+        g_iv = exact.spectral_report(iv.P, iv.mu)
+        rows.append((G.n, g_sw.gap, g_iv.gap,
+                     g_sw.relaxation if g_sw.relaxation_finite else "",
+                     g_iv.relaxation if g_iv.relaxation_finite else ""))
     with _open_out(s) as fh:
         fh.write("n,gap_sw,gap_iv,relax_sw,relax_iv\n")
         for row in rows:
@@ -410,17 +393,11 @@ def gap(config, **flags):
 def assm(config, **flags):
     """Search for the smallest radius with total sphere influence <= 1/4."""
     s = Settings(config, flags)
-    try:
-        G = parse_graph(s.require("graph"))
-    except (GraphError, ValueError) as exc:
-        _fail_invalid(str(exc))
+    G = parse_graph(s.require("graph"))
     beta = s.beta()
     r_max = s.count("r_max", 6, 0)
     with _open_out(s) as fh:
-        try:
-            radius, details = find_assm_radius(G, beta, r_max)
-        except ValueError as exc:  # a beta whose marginals overflow
-            _fail_invalid(str(exc))
+        radius, details = find_assm_radius(G, beta, r_max)
         report = {
             "graph": s.require("graph"),
             "beta": beta,

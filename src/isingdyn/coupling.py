@@ -117,11 +117,12 @@ def monotonicity_audit(G: Graph, beta: float, spec: DynamicsSpec, trials: int,
     violations = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((0xA0D1, seed, trial)))
-        rng2 = np.random.default_rng(np.random.SeedSequence((0xBAD1, seed, trial)))
         lower, upper = random_comparable_pair(G.n, rng)
         # each copy's steps are the sequential_draws of its generator
         block = draw_block(rng, G.n, G.m, steps)
-        block2 = draw_block(rng2, G.n, G.m, steps) if broken else None
+        if broken:
+            rng2 = np.random.default_rng(np.random.SeedSequence((0xBAD1, seed, trial)))
+            block2 = draw_block(rng2, G.n, G.m, steps)
         for draws in block:
             draws2 = next(block2) if broken else draws
             upper = step(G, beta, spec, upper, draws, bath)

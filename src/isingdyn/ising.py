@@ -58,9 +58,10 @@ def encode_spins(spins) -> int:
 
 
 def decode_spins(code: int, n: int) -> np.ndarray:
-    """Inverse of encode_spins; returns an int8 array of +/-1."""
-    bits = (code >> np.arange(n)) & 1
-    return (2 * bits - 1).astype(np.int8)
+    """Inverse of encode_spins, for any n; returns an int8 array of +/-1."""
+    raw = (int(code) & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
+    return bits.astype(np.int8) * 2 - 1
 
 
 def _agreement_sum(G: Graph, codes: np.ndarray) -> np.ndarray:
@@ -73,9 +74,11 @@ def _agreement_sum(G: Graph, codes: np.ndarray) -> np.ndarray:
 
 
 def weight(G: Graph, beta: float, spins) -> float:
-    """Unnormalized Gibbs weight exp(beta * sum_edges sigma(u) sigma(w))."""
-    code = np.array([encode_spins(spins)], dtype=np.int64)
-    return float(np.exp(beta * _agreement_sum(G, code)[0]))
+    """Unnormalized Gibbs weight exp(beta * sum_edges sigma(u) sigma(w)), any n."""
+    plus = np.asarray(spins) > 0  # the signs encode_spins reads
+    u, w = G.endpoint_arrays()
+    agree = int(np.count_nonzero(plus[u] == plus[w]))
+    return float(np.exp(beta * (2 * agree - G.m)))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Command-line driver: flags, config precedence, outputs, exit codes."""
 
+import ast
+import inspect
 import json
 import os
 import subprocess
@@ -309,6 +311,42 @@ HELP = {
     "gap": {"--config", "--beta", "--family", "--sizes", "--out"},
     "assm": {"--config", "--graph", "--beta", "--r-max", "--out"},
 }
+
+
+class TestInvalidInputBoundary:
+    """Only _Main maps a ValueError or OverflowError to exit 2."""
+
+    def test_fail_invalid_called_only_from_main(self):
+        tree = ast.parse(inspect.getsource(cli))
+        (boundary,) = [n for n in tree.body if getattr(n, "name", "") == "_Main"]
+
+        def exits(node):
+            return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                    and getattr(c.func, "id", "") == "_fail_invalid"]
+
+        # usage errors in parse_args and invoke, and invoke's ValueError/OverflowError
+        assert len(exits(tree)) == len(exits(boundary)) == 3
+        for fn in tree.body:
+            if getattr(fn, "name", "") in cli.COMMANDS:
+                assert not [n for n in ast.walk(fn) if isinstance(n, ast.Try)], fn.name
+
+    def test_other_errors_are_not_invalid_input(self, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("a fault in the program")
+
+        monkeypatch.setattr(cli, "coupling_time", broken)
+        res = runner.invoke(main, ["couple", "--graph", "cycle(4)", "--beta", "0.5"] + IV)
+        assert res.exit_code != 2 and isinstance(res.exception, RuntimeError)
+        assert "error:" not in res.stderr
+
+    @pytest.mark.parametrize("eps", ["0.1", [0.1], {"eps": 0.1}])
+    def test_non_number_eps_stops_at_the_config_type_check(self, tmp_path, eps):
+        # so verify's float(eps) never sees a value that raises TypeError
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"graph": "path(2)", "beta": 0.5, "eps": eps, **IV_CFG}))
+        res = runner.invoke(main, ["verify", "--config", str(path)])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: config {path}: eps has the wrong JSON type"]
 
 
 class TestOwnSettingsOnly:

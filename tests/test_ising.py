@@ -14,6 +14,7 @@ from isingdyn.graph import (Graph, complete_tree, cycle, distances, grid, path,
 from isingdyn.ising import (
     ENUM_LIMIT,
     FeasibilityError,
+    _agreement_sum,
     _enum_marginals,
     _logaddexp,
     _logistic,
@@ -57,12 +58,33 @@ class TestWeight:
         assert weight(TRIANGLE, 0.5, [1, 1, -1]) == pytest.approx(
             math.exp(-0.5), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_past_int64_matches_edge_loop(self, n):
+        # the spins no longer fit one int64 code
+        G = cycle(n)
+        rng = np.random.default_rng(n)
+        for spins in [np.ones(n), rng.choice([-1, 1], size=n)]:
+            agree = sum(int(spins[u] * spins[w]) for u, w in G.edges)
+            assert weight(G, 0.01, spins) == float(np.exp(0.01 * agree))
+
+    def test_same_bits_as_the_encoded_sum(self):
+        rng = np.random.default_rng(7)
+        for G in [EDGE, TRIANGLE, grid(3, 3), cycle(63)]:
+            for _ in range(20):
+                spins = rng.choice([-1, 1], size=G.n)
+                beta = float(rng.uniform(0.0, 2.0))
+                code = np.array([encode_spins(spins)], dtype=np.int64)
+                assert weight(G, beta, spins) == float(
+                    np.exp(beta * _agreement_sum(G, code)[0]))
+
 
 class TestEncoding:
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=12))
+    @example(spins=[1, -1, -1] * 33 + [1])  # n = 100: a code past int64
     def test_roundtrip(self, spins):
         code = encode_spins(spins)
-        assert list(decode_spins(code, len(spins))) == spins
+        decoded = decode_spins(code, len(spins))
+        assert decoded.dtype == np.int8 and list(decoded) == spins
 
 
 @st.composite
