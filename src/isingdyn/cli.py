@@ -12,6 +12,7 @@ _Main alone turns it into one `error:` line and exit 2.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import exact
 from .coupling import coupling_time
-from .dynamics import DynamicsSpec, run_chain
+from .dynamics import DynamicsSpec, chain_states
 from .graph import Graph, GraphError, generate, load_edge_list
 from .ising import UP_SET_N_LIMIT
 from .ssm import find_assm_radius
@@ -215,11 +216,10 @@ def sample(config, **flags):
     steps = s.count("steps", 0, 0)
     burnin = s.count("burnin", 0, 0)
     seed = s.seed()
+    states = chain_states(G, beta, spec, burnin + steps, seed)
     with _open_out(s) as fh:
-        final, collected = run_chain(G, beta, spec, burnin + steps, seed,
-                                     collect_every=1, collect_after=burnin)
-        lines = ["".join("+" if x > 0 else "-" for x in st) for st in collected or [final]]
-        fh.write("\n".join(lines) + "\n")
+        for st in itertools.islice(states, burnin + 1 if steps else burnin, None):
+            fh.write("".join("+" if x > 0 else "-" for x in st) + "\n")
 
 
 @_command

@@ -37,6 +37,7 @@ __all__ = [
     "heat_bath_sites",
     "HeatBath",
     "step",
+    "chain_states",
     "run_chain",
 ]
 
@@ -355,21 +356,18 @@ def step(G: Graph, beta: float, spec: DynamicsSpec, spins,
     return block_step(G, beta, spins, spec.blocks, draws, A, bath)
 
 
-def run_chain(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
-              start=None, collect_every: int = 0, collect_after: int = 0):
-    """Advance a single chain; optionally collect states.
+def chain_states(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
+                 start=None):
+    """The states of a single chain: start, then the state after each of
+    `steps` steps, each a new array.
 
-    Returns (final_state, collected) where collected holds a copy of the
-    state every `collect_every` steps (after the step) once at least
-    `collect_after` steps have run, or [] when collect_every is 0. Step t
+    Invalid input raises here, before the first state is asked for. Step t
     reads the t-th sequential_draws of the chain's generator, through
-    draw_block. start, when given, is n spins of +1 or -1.
+    draw_block. start, when given, is n spins of +1 or -1 (all +1 otherwise).
     """
     spec.validate_for(G)
-    for name, value in (("steps", steps), ("collect_every", collect_every),
-                        ("collect_after", collect_after)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, not {value}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, not {steps}")
     if start is None:
         spins = np.full(G.n, 1, dtype=np.int8)
     else:
@@ -377,12 +375,32 @@ def run_chain(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
         if spins.shape != (G.n,) or not np.isin(spins, (-1, 1)).all():
             raise ValueError(f"start must be {G.n} spins, each +1 or -1")
         spins = spins.astype(np.int8)
+    return _states(G, beta, spec, steps, seed, spins)
+
+
+def _states(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int, spins):
     rng = np.random.default_rng(np.random.SeedSequence((0xD1CE, seed)))
     bath = HeatBath(G, beta, spec.blocks, spec.censor)
-    collected = []
-    for t, draws in enumerate(draw_block(rng, G.n, G.m, steps)):
+    yield spins
+    for draws in draw_block(rng, G.n, G.m, steps):
         spins = step(G, beta, spec, spins, draws, bath)
-        if collect_every and t + 1 > collect_after \
-                and (t + 1 - collect_after) % collect_every == 0:
-            collected.append(spins.copy())
+        yield spins
+
+
+def run_chain(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int,
+              start=None, collect_every: int = 0, collect_after: int = 0):
+    """Advance a single chain (chain_states); optionally collect states.
+
+    Returns (final_state, collected) where collected holds the state
+    every `collect_every` steps (after the step) once at least
+    `collect_after` steps have run, or [] when collect_every is 0.
+    """
+    states = chain_states(G, beta, spec, steps, seed, start)
+    for name, value in (("collect_every", collect_every), ("collect_after", collect_after)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, not {value}")
+    collected = []
+    for t, spins in enumerate(states):
+        if collect_every and t > collect_after and (t - collect_after) % collect_every == 0:
+            collected.append(spins)
     return spins, collected

@@ -2,17 +2,16 @@
 and marked-space operator decompositions with the censoring order.
 
 Everything here enumerates the full configuration space, so sizes are
-capped: n <= 10 vertices for direct kernels, |E| <= 14 for the cluster
-kernels (which sum over edge subsets), and MAX_OPERATOR_STATES states
-for the materialized joint- and marked-space operators.
+capped: n <= 10 vertices for direct kernels, |E| <= 14 also for the SW
+and MSW kernels (which read all edge subsets), and MAX_OPERATOR_STATES
+states for the materialized joint- and marked-space operators.
 
-The SW, IV and MSW kernels come from the Edwards-Sokal joint measure:
-P(sigma, sigma xor D) = sum_F A(sigma,F) G(F,D), where the percolation
-matrix A(sigma,F) = p^|F| q^(|E(sigma)|-|F|) 1[F in E(sigma)] is shared and
-the recolouring matrix G differs per kind (SW: 2^-c(F) 1[F in E(D)]; IV:
-2^-|I| 1[D in I] over the isolated vertices I of (V,F) in A; MSW: flip each
-component of (V,F) inside A with probability 2^-|C|). They never go
-through T/Q/S/K, so verify_decompositions compares two constructions.
+The SW, IV and MSW kernels come from the Edwards-Sokal joint measure
+(percolate E(sigma) with p = 1 - e^(-2 beta), then recolour): SW and IV
+by row formulas, MSW as the product sum_F A(sigma,F) G(F,D) of the
+percolation matrix A and its recolouring matrix G (see _cluster_kernel).
+They never go through T/Q/S/K, so verify_decompositions compares two
+constructions.
 
 Configurations are the bit-encoded integers of the ising module.
 """
@@ -24,7 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import M_CLUSTER_LIMIT, N_DIRECT_LIMIT, DynamicsSpec, components
+from .dynamics import (
+    M_CLUSTER_LIMIT,
+    N_DIRECT_LIMIT,
+    DynamicsSpec,
+    _subset_roots,
+    components,
+)
 from .graph import Graph
 from .ising import (
     UP_SET_N_LIMIT,
@@ -91,58 +96,97 @@ def _vertex_mask(A: frozenset | None, n: int) -> int:
 
 
 def _cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
-    """Exact SW / IV / MSW kernel by the Edwards-Sokal factorisation.
+    """Exact SW / IV / MSW kernel, built on the rows x with the top bit clear.
 
-    P(sigma, sigma xor D) = sum_F A(sigma,F) G(F,D) over edge subsets F and
-    flip sets D (vertex bitmasks), where A(sigma,F) = p^|F| q^(|E(sigma)|-|F|)
-    if F lies in E(sigma), else 0. E(D) reads D as a configuration, so "F in
-    E(D)" says that D is a union of clusters of F (c(F) clusters in all):
+    E(x) = E(N-1-x), so P(N-1-x, N-1-y) = P(x, y): the other half of the
+    rows is the first half mirrored, and P is exactly flip-invariant. With
+    p = 1 - e^(-2 beta), q = 1 - p, a step keeps each edge of E(x) with
+    probability p, and E(D) reads a vertex set D as a configuration.
 
-    - sw:  G = 2^-c(F) 1[F in E(D)];
-    - iv:  G = 2^-|I| 1[D in I], I the isolated vertices of (V,F) lying in A;
-    - msw: G = 1[F in E(D), D in L] times, over the components C of (V,F)
-      inside A (their union is L), 2^-|C| if C is in D, else 1 - 2^-|C|.
-
-    Each G(F,.) is 1[F in E(D)] times a product over vertices v of f0(F,v)
-    or f1(F,v), as v is outside or inside D (the factor of a component sits
-    on its lowest vertex), so its row is a Kronecker product. R = A G is
-    summed over chunks of F_CHUNK edge subsets, and P(x,y) = R(x, x xor y).
+    - sw:  with M = E(x) int E(y), P(x, y) = q^(|E(x)|-|M|) W(M), where
+      W(M) = sum over F in M of p^|F| q^|M-F| 2^-c(F) and c(F) counts the
+      clusters of (V, F) (Edwards-Sokal). W is one subset-sum transform of
+      p^|F| 2^-c(F) over the 2^m edge subsets: O(m 2^m), then an N x N gather.
+    - iv:  for D in A, P(x, x xor D) = 2^-|D| times the sum over D in S in A
+      of (-1/2)^|S-D| q^e_x(S), where e_x(S) counts the edges of E(x) with
+      an end in S (S is isolated w.p. q^e_x(S); Moebius inversion gives the
+      exact isolated set). Other D have P = 0. One superset transform per
+      row, O(n 4^n) in all, and no edge subsets, so no edge limit.
+    - msw: sum over F of A(x,F) G(F,D) with A(x,F) = p^|F| q^(|E(x)|-|F|)
+      if F lies in E(x), else 0, and G = 1[F in E(D), D in L] times, over
+      the components C of (V,F) inside A (their union is L), 2^-|C| if C is
+      in D, else 1 - 2^-|C|. Each G(F,.) is 1[F in E(D)] times a product
+      over vertices of f0 or f1, as the vertex is outside or inside D (a
+      component's factor sits on its lowest vertex), so its row is a
+      Kronecker product; R = A G is summed over chunks of F_CHUNK edge
+      subsets, and P(x, y) = R(x, x xor y).
     """
-    if G.m > M_CLUSTER_LIMIT or G.n > N_DIRECT_LIMIT:
+    if G.n > N_DIRECT_LIMIT or (kind != "iv" and G.m > M_CLUSTER_LIMIT):
         raise ValueError(f"graph too large for exact {kind} kernel")
     p = 1.0 - math.exp(-2.0 * beta)
     q = 1.0 - p
+    N = 1 << G.n
+    x = np.arange((N + 1) // 2)  # the rows with the top bit clear; one state when n = 0
     emasks = _edge_masks(G)
+    qk = q ** np.arange(G.m + 1)
+    if kind == "sw":
+        half = _sw_rows(G, p, q, qk, emasks, x)
+    elif kind == "iv":
+        half = _iv_rows(G, qk, emasks, x, _vertex_mask(A, G.n))
+    else:
+        half = _msw_rows(G, p, qk, emasks, x, _vertex_mask(A, G.n))
+    return np.concatenate((half, half[::-1, ::-1]))[:N]
+
+
+def _sw_rows(G: Graph, p: float, q: float, qk, emasks, x):
+    roots = _subset_roots(G)
+    Fs = np.arange(1 << G.m)
+    W = p ** np.bitwise_count(Fs) * 0.5 ** np.sum(roots == np.arange(G.n), axis=1)
+    for i in range(G.m):  # W[M] += q W[M - e_i] for every M holding e_i
+        Wi = W.reshape(-1, 2, 1 << i)
+        Wi[:, 1] += q * Wi[:, 0]
+    M = emasks[x, None] & emasks
+    return qk[np.bitwise_count(emasks[x, None] ^ M)] * W[M]
+
+
+def _iv_rows(G: Graph, qk, emasks, x, amask: int):
+    touch = np.zeros(1, dtype=np.int64)  # touch[S]: the edges with an end in S
+    for v in range(G.n):
+        incident = sum(1 << i for i, e in enumerate(G.edges) if v in e)
+        touch = np.concatenate((touch, touch | incident))
+    S = np.arange(touch.size)
+    R = np.where((S & ~amask) == 0, qk[np.bitwise_count(emasks[x, None] & touch)], 0.0)
+    for v in range(G.n):
+        if amask >> v & 1:  # R[D] -= R[D + v] / 2 for every D without v
+            Rv = R.reshape(x.size, -1, 2, 1 << v)
+            Rv[:, :, 0] -= 0.5 * Rv[:, :, 1]
+    R *= 0.5 ** np.bitwise_count(S)
+    return np.take_along_axis(R, x[:, None] ^ S, axis=1)
+
+
+def _msw_rows(G: Graph, p: float, qk, emasks, x, amask: int):
     cm = _subgraph_components(G)
-    amask = _vertex_mask(A, G.n)
     bit = 1 << np.arange(G.n, dtype=np.int64)
     leader = (cm & (bit - 1)) == 0
     inside = (cm & ~amask) == 0
-    if kind == "sw":
-        f0 = f1 = np.where(leader, 0.5, 1.0)
-    elif kind == "iv":
-        iso = (cm == bit) & inside
-        f0, f1 = np.where(iso, 0.5, 1.0), np.where(iso, 0.5, 0.0)
-    else:
-        flip = 0.5 ** np.bitwise_count(cm)
-        f0 = np.where(leader & inside, 1.0 - flip, 1.0)
-        f1 = np.where(inside, np.where(leader, flip, 1.0), 0.0)
+    flip = 0.5 ** np.bitwise_count(cm)
+    f0 = np.where(leader & inside, 1.0 - flip, 1.0)
+    f1 = np.where(inside, np.where(leader, flip, 1.0), 0.0)
     k = np.arange(G.m + 1)
-    w = p ** k[None, :] * q ** np.abs(k[:, None] - k[None, :])  # w[|E(x)|, |F|]
+    w = p ** k[None, :] * qk[np.abs(k[:, None] - k[None, :])]  # w[|E(x)|, |F|]
     Fs = np.arange(1 << G.m)
-    ne, nf = np.bitwise_count(emasks), np.bitwise_count(Fs)
-    R = np.zeros((1 << G.n, 1 << G.n))
+    ne, nf = np.bitwise_count(emasks[x]), np.bitwise_count(Fs)
+    R = np.zeros((x.size, emasks.size))
     for lo in range(0, 1 << G.m, F_CHUNK):
         blk = slice(lo, lo + F_CHUNK)
-        sub = (Fs[blk] & ~emasks[:, None]) == 0  # sub[x, F] = 1[F in E(x)]
-        Ablk = np.where(sub, w[ne[:, None], nf[blk]], 0.0)
+        sub = (Fs[blk] & ~emasks[:, None]) == 0  # sub[D, F] = 1[F in E(D)]
+        Ablk = np.where(sub[x], w[ne[:, None], nf[blk]], 0.0)
         Gblk = np.ones((sub.shape[1], 1))
         for v in range(G.n):
             Gblk = np.concatenate([Gblk * f0[blk, v, None], Gblk * f1[blk, v, None]],
                                   axis=1)
-        R += Ablk @ (Gblk * sub.T)  # x and D range over the same codes
-    codes = np.arange(1 << G.n)
-    return np.take_along_axis(R, codes[:, None] ^ codes, axis=1)
+        R += Ablk @ (Gblk * sub.T)
+    return np.take_along_axis(R, x[:, None] ^ np.arange(emasks.size), axis=1)
 
 
 def _heat_bath_kernel(G: Graph, blocks, A: frozenset | None, mu: np.ndarray):

@@ -13,7 +13,8 @@ from click.testing import CliRunner
 
 from isingdyn import cli
 from isingdyn.cli import _check_failed, main, parse_graph
-from isingdyn.graph import Graph
+from isingdyn.dynamics import DynamicsSpec, run_chain
+from isingdyn.graph import Graph, random_regular
 
 runner = CliRunner()
 
@@ -78,6 +79,38 @@ class TestSample:
                                    "--out", str(out)])
         assert res.exit_code == 0
         assert len(out.read_text().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("steps, burnin", [(0, 0), (0, 6), (7, 0), (7, 6)])
+    def test_lines_are_the_chain_states(self, steps, burnin):
+        # the states after steps burnin+1..burnin+steps, or the one after the burn-in
+        G, spec = parse_graph("cycle(5)"), DynamicsSpec("msw")
+        final, collected = run_chain(G, 0.4, spec, burnin + steps, 3,
+                                     collect_every=1, collect_after=burnin)
+        want = "".join("".join("+" if x > 0 else "-" for x in st) + "\n"
+                       for st in collected or [final])
+        res = runner.invoke(main, ["sample", "--graph", "cycle(5)", "--beta", "0.4",
+                                   "--dynamics", '{"kind": "msw"}', "--seed", "3",
+                                   "--steps", str(steps), "--burnin", str(burnin)])
+        assert res.exit_code == 0 and res.stdout == want
+
+    def test_memory_flat_in_steps(self, tmp_path):
+        # each line is written as the chain produces it, so the peak does
+        # not grow with --steps
+        code = ("import resource, sys; from isingdyn.cli import main\n"
+                "try: main(sys.argv[1:])\n"
+                "except SystemExit: pass\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+        peak = {}
+        for steps in (2 * 10**4, 2 * 10**5):
+            res = subprocess.run(
+                [sys.executable, "-c", code, "sample", "--graph", "cycle(4)", "--beta", "0.5",
+                 "--dynamics", '{"kind": "glauber"}', "--seed", "1", "--steps", str(steps),
+                 "--out", str(tmp_path / "s.txt")],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+                check=True)
+            assert len((tmp_path / "s.txt").read_text().splitlines()) == steps
+            peak[steps] = int(res.stdout)  # KiB on Linux
+        assert peak[2 * 10**5] - peak[2 * 10**4] < 5 * 1024
 
     def test_invalid_graph_exit2(self):
         res = runner.invoke(main, ["sample", "--graph", "noexist(3)",
@@ -556,6 +589,17 @@ class TestVerify:
         assert res.exit_code == 0 and res.exception is None and res.stderr == ""
         (c,) = [c for c in json.loads(res.stdout)["checks"] if c["check"] == "decompositions"]
         assert c["skipped"].startswith("marked space has ")
+
+    def test_iv_past_the_cluster_edge_guard(self, tmp_path):
+        # random_regular(10,3,1) has 15 edges: IV builds, SW is refused
+        graph = tmp_path / "rr10.txt"
+        graph.write_text("".join(f"{u} {w}\n" for u, w in random_regular(10, 3, 1).edges))
+        res = runner.invoke(main, ["verify", "--graph", str(graph), "--beta", "0.3",
+                                   "--dynamics", '{"kind": "iv"}'])
+        assert res.exit_code == 0 and res.stderr == ""
+        checks = {c["check"]: c for c in json.loads(res.stdout)["checks"]}
+        assert checks["spectral_gap"]["value"] == pytest.approx(0.117236937306, abs=1e-10)
+        assert checks["sw_iv_comparison"]["skipped"] == "graph too large for exact sw kernel"
 
     def test_nothing_verified_exits_1(self):
         res = runner.invoke(main, ["verify", "--graph", "cycle(11)",

@@ -17,6 +17,7 @@ from isingdyn.dynamics import (
     _label,
     agreeing_edges,
     block_step,
+    chain_states,
     components,
     glauber_step,
     heat_bath_sites,
@@ -702,6 +703,25 @@ class TestRunChain:
         out, collected = run_chain(cycle(4), 0.4, DynamicsSpec("iv"), 0, seed=0,
                                    start=start, collect_every=1)
         assert list(out) == start and collected == []
+
+
+class TestChainStates:
+    def test_start_then_each_step(self):
+        G, spec = cycle(5), DynamicsSpec("iv")
+        states = list(chain_states(G, 0.4, spec, 30, seed=2))
+        assert len(states) == 31 and np.array_equal(states[0], np.ones(5))
+        _, collected = run_chain(G, 0.4, spec, 30, seed=2, collect_every=1)
+        assert np.array_equal(states[1:], collected)
+        assert len({id(s) for s in states}) == 31  # each a new array
+
+    @pytest.mark.parametrize("args, match", [
+        ((DynamicsSpec("iv"), -1, 0, None), "steps must be >= 0"),
+        ((DynamicsSpec("iv"), 5, 0, [1, 1]), "start must be 4 spins"),
+        ((DynamicsSpec("iv", censor=frozenset({7})), 5, 0, None), "censor vertex 7"),
+    ])
+    def test_invalid_input_raises_before_the_first_state(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            chain_states(cycle(4), 0.4, *args)
 
 
 class TestDrawBlock:

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingdyn import dynamics, exact
 from isingdyn.dynamics import DynamicsSpec
@@ -34,6 +35,7 @@ from isingdyn.exact import (
 from isingdyn.graph import Graph, cycle, path, random_regular
 from isingdyn.ising import gibbs_exact
 from test_acceptance import small_graph_zoo
+from test_dynamics import small_graphs
 
 EDGE = Graph(n=2, edges=((0, 1),))
 
@@ -275,6 +277,73 @@ class TestClusterKernelOracle:
         G15 = Graph(n=10, edges=edges + ((4, 9),))
         with pytest.raises(ValueError):
             transition_matrix(G15, 0.3, DynamicsSpec("msw"))
+
+
+@st.composite
+def oracle_cases(draw):
+    """(G, beta, A): a graph on n <= 5 vertices with m <= 8 edges, and a
+    censor set that is often empty or all of V."""
+    G = draw(small_graphs(max_n=5, max_m=8))
+    beta = draw(st.sampled_from([0.0, 0.3, 1.0, 50.0]))
+    everything = frozenset(range(G.n))
+    A = draw(st.sampled_from([None, frozenset(), everything])
+             | st.frozensets(st.sampled_from(sorted(everything))))
+    return G, beta, A
+
+
+class TestClosedFormKernels:
+    """The SW and IV row formulas, against the loop oracle and past the
+    cluster guard."""
+
+    @settings(max_examples=200)
+    @given(oracle_cases())
+    def test_matches_loop_oracle(self, case):
+        G, beta, A = case
+        for kind, censor in (("sw", None), ("iv", A)):
+            want = loop_cluster_kernel(G, beta, kind, censor)
+            got = _cluster_kernel(G, beta, kind, censor)
+            assert np.max(np.abs(got - want)) <= 1e-12, kind
+            assert got.min() >= 0.0, kind
+            assert np.all(got[want == 0.0] == 0.0), kind
+            assert np.array_equal(got, got[::-1, ::-1]), kind
+
+    def test_one_state(self):
+        G = Graph(n=0, edges=())
+        for kind in ("sw", "iv", "msw"):
+            assert _cluster_kernel(G, 0.3, kind, None).tolist() == [[1.0]]
+
+    def test_iv_past_the_edge_guard(self):
+        G = random_regular(10, 3, 1)
+        assert G.m == 15 > M_CLUSTER_LIMIT
+        # gaps of the F-chunked product the kernel replaces, run with a
+        # 15-edge limit
+        pinned = {0.3: 0.11723693730608509, 0.5: 0.01701500451978344}
+        for beta, gap in pinned.items():
+            tm = transition_matrix(G, beta, DynamicsSpec("iv"))
+            assert np.max(np.abs(tm.P.sum(axis=1) - 1.0)) <= 1e-12
+            assert check_reversibility(tm.P, tm.mu) <= 1e-10
+            assert tm.P.min() >= 0.0
+            assert np.array_equal(tm.P, tm.P[::-1, ::-1])
+            assert abs(spectral_report(tm.P, tm.mu).gap - gap) <= 1e-10
+        for kind in ("sw", "msw"):
+            with pytest.raises(ValueError, match=f"^graph too large for exact {kind} kernel$"):
+                transition_matrix(G, 0.3, DynamicsSpec(kind))
+
+    def test_degree_three_gaps(self):
+        # bounds fixed before any run: gap(SW) >= gap(IV) and a bounded IV gap
+        start = time.perf_counter()
+        bound = {0.3: 1.15, 0.5: 1.6}
+        for beta in bound:
+            iv = []
+            for n in (4, 6, 8, 10):
+                G = random_regular(n, 3, 1)
+                tm = transition_matrix(G, beta, DynamicsSpec("iv"))
+                iv.append(spectral_report(tm.P, tm.mu).gap)
+                if n <= 8:
+                    sw = transition_matrix(G, beta, DynamicsSpec("sw"))
+                    assert spectral_report(sw.P, sw.mu).gap >= iv[-1] - 1e-9, (n, beta)
+            assert max(iv) / min(iv) <= bound[beta], (beta, iv)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestHeatBathOracle:
