@@ -13,13 +13,25 @@ percolation matrix A and its recolouring matrix G (see _cluster_kernel).
 They never go through T/Q/S/K, so verify_decompositions compares two
 constructions.
 
+Kernels and mu commute with the global flip (no field) and, on a graph,
+censor set and block family that the rotation v -> v + 1 (mod n) maps to
+themselves, with that rotation. Every kernel is built on the rows at the
+orbit representatives of Gamma = Z_k x Z_2 (k = n on such a graph with at
+least ROTATION_MIN_STATES states, else k = 1) and scattered, so it is
+exactly invariant. spectral_report and tv_mixing_time find the group
+under which their input is exactly invariant and work on its character
+blocks, R x R with R about N / 2k (Diaconis 1988; Boyd, Diaconis, Parrilo
+and Xiao 2009): 56 x 56 at n = 10 under rotation x flip.
+
 Configurations are the bit-encoded integers of the ising module.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +70,7 @@ MAX_OPERATOR_STATES = 1 << 14
 REV_TOL = 1e-9
 F_CHUNK = 1024
 ROW_BLOCK = 128
+ROTATION_MIN_STATES = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -75,12 +88,9 @@ class TransitionMatrix:
 
 def _edge_masks(G: Graph):
     """E(sigma) as an edge-bitmask for every encoded configuration."""
-    masks = np.zeros(1 << G.n, dtype=np.int64)
-    codes = np.arange(1 << G.n, dtype=np.int64)
-    for i, (u, w) in enumerate(G.edges):
-        agree = (((codes >> u) ^ (codes >> w)) & 1) == 0
-        masks[agree] |= 1 << i
-    return masks
+    codes = np.arange(1 << G.n, dtype=np.int64)[:, None]
+    u, w = G.endpoint_arrays()
+    return ((((codes >> u) ^ (codes >> w)) & 1) == 0) @ (1 << np.arange(G.m, dtype=np.int64))
 
 
 def _subgraph_components(G: Graph) -> np.ndarray:
@@ -95,23 +105,180 @@ def _vertex_mask(A: frozenset | None, n: int) -> int:
     return sum(1 << v for v in A)
 
 
-def _cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
-    """Exact SW / IV / MSW kernel, built on the rows x with the top bit clear.
+# ---------------------------------------------------------------------------
+# The orbit fold: kernels that commute with rotation x flip
 
-    E(x) = E(N-1-x), so P(N-1-x, N-1-y) = P(x, y): the other half of the
-    rows is the first half mirrored, and P is exactly flip-invariant. With
+
+class _Orbits(NamedTuple):
+    """Gamma = Z_k x Z_f acting on N states, and its characters.
+
+    perms[i, e] is the state permutation rot^i flip^e, where rot moves the
+    spin at vertex v to v + 1 (mod n) and flip maps x to N-1-x. The
+    characters are chi_(s, j)(rot^i flip^e) = (-1)^(s e) w^(i j), w =
+    e^(-2 pi i / k), ordered by (s, j) with j = 0 .. k // 2 (j and k - j
+    are a conjugate pair: one block, counted twice).
+    """
+
+    perms: np.ndarray  # (k, f, N)
+    reps: np.ndarray   # (R,) the least state of each orbit, ascending
+    at: np.ndarray     # (k, f, R) the states g r_a
+    stab: np.ndarray   # (R,) |Stab(r_a)|
+    canon: list        # (a, c) per r_a with |Stab| > 1: c[y] = min over h in Stab of h y
+    keep: np.ndarray   # (C, R) whether character c is trivial on Stab(r_a)
+    mult: list         # (C,) 2 for a conjugate pair, else 1
+
+
+def _rotate(x: np.ndarray, n: int) -> np.ndarray:
+    """rot x: the spin at vertex v moves to v + 1 (mod n)."""
+    return ((x << 1) | (x >> (n - 1))) & ((1 << n) - 1)
+
+
+def _orbits(N: int, k: int, f: int) -> _Orbits:
+    """Z_k x Z_f on N states (k > 1 only when N = 2^k, and then f = 2): its
+    permutations, orbit representatives, stabiliser sizes and characters."""
+    x = np.arange(N)
+    if k == 1:  # the flip fixes no state: the reps are the states below N / f
+        R = N // f
+        perms = np.array([(x, x[::-1])[:f]])
+        return _Orbits(perms, x[:R], perms[:, :, :R], np.ones(R, dtype=np.int64), [],
+                       np.ones((f, R), dtype=bool), [1] * f)
+    rot = [x]
+    for _ in range(k - 1):
+        rot.append(_rotate(rot[-1], k))
+    perms = np.array([(r, N - 1 - r) for r in rot])
+    reps = np.flatnonzero(perms.min(axis=(0, 1)) == x)
+    at = perms[:, :, reps]
+    fixed = at == reps
+    stab = fixed.sum(axis=(0, 1))
+    canon = [(a, perms[fixed[:, :, a]].min(axis=0)) for a in np.flatnonzero(stab > 1)]
+    mult = [1 if 2 * j % k == 0 else 2 for j in range(k // 2 + 1)] * 2
+    keep = _characters(fixed.astype(np.float64)).real > 0.5  # the sum is |Stab| or 0
+    return _Orbits(perms, reps, at, stab, canon, keep, mult)
+
+
+def _characters(T: np.ndarray) -> np.ndarray:
+    """sum over g of chi(g) T[g] for every character, from T[i, e, ...]
+    (only the trivial group lacks the flip, and it needs no transform)."""
+    S = np.empty((2, T.shape[0], *T.shape[2:]))
+    np.add(T[:, 0], T[:, 1], out=S[0])
+    np.subtract(T[:, 0], T[:, 1], out=S[1])
+    if S.shape[1] > 1:
+        S = np.fft.rfft(S, axis=1)
+    return S.reshape(-1, *S.shape[2:])
+
+
+def _kernel_orbits(G: Graph, A: frozenset | None, blocks=(), flip: bool = True) -> _Orbits:
+    """The group a kernel on G is built under: the rotation v -> v + 1
+    (mod n) times the flip when the rotation maps G's edges, A and the block
+    family to themselves and there are at least ROTATION_MIN_STATES states
+    (below that the fold costs more than it saves), else the flip (no field)
+    if `flip`, else the trivial group."""
+    N = 1 << G.n
+    k = 1
+    if N >= ROTATION_MIN_STATES:
+        def rot(S):
+            return frozenset((v + 1) % G.n for v in S)
+        edges = set(map(frozenset, G.edges))
+        if ({rot(e) for e in edges} == edges and (A is None or rot(A) == frozenset(A))
+                and Counter(map(rot, blocks)) == Counter(map(frozenset, blocks))):
+            k = G.n
+    return _orbits(N, k, 2 if G.n and (flip or k > 1) else 1)
+
+
+def _scatter(rows: np.ndarray, orb: _Orbits) -> np.ndarray:
+    """The N x N kernel P(g r, g y) = P(r, y) from its rows at the
+    representatives. A representative fixed by some h must have P(r, h y) =
+    P(r, y) exactly, so each such column class is first read from one entry."""
+    N = rows.shape[1]
+    if len(orb.reps) == N:  # the trivial group
+        return rows
+    for a, c in orb.canon:
+        rows[a] = rows[a, c]
+    P = np.empty((N, N))
+    for i, at in enumerate(orb.at):  # at[e] = rot^i flip^e r
+        Ri = rows[:, orb.perms[-i, 0]] if i else rows  # P(rot^i r, z) = P(r, rot^-i z)
+        P[at[0]] = Ri
+        P[at[1]] = Ri[:, ::-1]  # the flip maps z to N-1-z
+    return P
+
+
+def _symmetry(P: np.ndarray, mu: np.ndarray) -> _Orbits:
+    """The group whose action P and mu are exactly (np.array_equal)
+    invariant under: rotation x flip on at least ROTATION_MIN_STATES = 2^n
+    states, else the flip when N is even, else the trivial group."""
+    N = P.shape[0]
+    if N % 2 or not (np.array_equal(P, P[::-1, ::-1]) and np.array_equal(mu, mu[::-1])):
+        return _orbits(N, 1, 1)
+    n, h = N.bit_length() - 1, N // 2
+    # rot maps x = b h + r (b the top bit) to 2 r + b, so P(rot x, rot y) is
+    # a transposed view of P split as (h, 2) x (h, 2): no gather, no copy
+    if (N >= ROTATION_MIN_STATES and N == 1 << n
+            and np.array_equal(mu.reshape(h, 2).T, mu.reshape(2, h))
+            and np.array_equal(P.reshape(h, 2, h, 2).transpose(1, 0, 3, 2),
+                               P.reshape(2, h, 2, h))):
+        return _orbits(N, n, 2)
+    return _orbits(N, 1, 2)
+
+
+def _blocks(P: np.ndarray, orb: _Orbits) -> np.ndarray:
+    """(C, R, R) character blocks B_c[a, b] = sum over g of chi_c(g)
+    P(r_a, g r_b), read from the rows of P at the representatives, with the
+    rows and columns outside keep[c] set to 0 (they are 0 up to rounding)."""
+    if len(orb.reps) == len(P):  # the trivial group: P is its own block
+        return P[None]
+    T = np.take(P[orb.reps], orb.at, axis=1)  # T[a, i, e, b]
+    B = _characters(np.moveaxis(T, 0, 2))
+    if not orb.keep.all():
+        B *= orb.keep[:, :, None] & orb.keep[:, None, :]
+    return B
+
+
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The blocks M_c = B_c diag(1 / |Stab|) of a product of two kernels,
+    from theirs: M_c(PQ) = M_c(P) M_c(Q), one character at a time."""
+    out = np.empty(A.shape, np.result_type(A, B))
+    for a, b, o in zip(A, B, out):
+        np.matmul(a, b, out=o)
+    return out
+
+
+def _rep_rows(M: np.ndarray, orb: _Orbits) -> np.ndarray:
+    """Rows of a kernel at the representatives from its blocks M (C, r, R),
+    by the inverse transform over Gamma: row a lists P(r_a, g r_b) /
+    |Stab(r_b)| over g = (i, e), then b, so each state of orbit b is
+    listed |Stab(r_b)| times and its probability adds up over them."""
+    k, f = orb.perms.shape[:2]
+    if f == 1:  # the trivial group: M holds the rows themselves
+        return M[0]
+    T = M.reshape(2, -1, *M.shape[1:])
+    if k > 1:
+        T = np.fft.irfft(T, n=k, axis=1)
+    S = np.empty((k, T.shape[2], 2, T.shape[3]))
+    np.add(T[0], T[1], out=S[:, :, 0])
+    np.subtract(T[0], T[1], out=S[:, :, 1])
+    S *= 0.5
+    return np.moveaxis(S, 0, 1).reshape(S.shape[1], -1)
+
+
+def _cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
+    """Exact SW / IV / MSW kernel, built on the rows x at the orbit
+    representatives of _kernel_orbits(G, A) and scattered by _scatter.
+
+    E(x) = E(N-1-x), so P(N-1-x, N-1-y) = P(x, y), and a rotation of G's
+    vertices that keeps A maps the kernel to itself too: every row is a
+    permuted row at a representative, and P is exactly invariant. With
     p = 1 - e^(-2 beta), q = 1 - p, a step keeps each edge of E(x) with
     probability p, and E(D) reads a vertex set D as a configuration.
 
     - sw:  with M = E(x) int E(y), P(x, y) = q^(|E(x)|-|M|) W(M), where
       W(M) = sum over F in M of p^|F| q^|M-F| 2^-c(F) and c(F) counts the
       clusters of (V, F) (Edwards-Sokal). W is one subset-sum transform of
-      p^|F| 2^-c(F) over the 2^m edge subsets: O(m 2^m), then an N x N gather.
+      p^|F| 2^-c(F) over the 2^m edge subsets: O(m 2^m), then an R x N gather.
     - iv:  for D in A, P(x, x xor D) = 2^-|D| times the sum over D in S in A
       of (-1/2)^|S-D| q^e_x(S), where e_x(S) counts the edges of E(x) with
       an end in S (S is isolated w.p. q^e_x(S); Moebius inversion gives the
       exact isolated set). Other D have P = 0. One superset transform per
-      row, O(n 4^n) in all, and no edge subsets, so no edge limit.
+      row, O(R n 2^n) in all, and no edge subsets, so no edge limit.
     - msw: sum over F of A(x,F) G(F,D) with A(x,F) = p^|F| q^(|E(x)|-|F|)
       if F lies in E(x), else 0, and G = 1[F in E(D), D in L] times, over
       the components C of (V,F) inside A (their union is L), 2^-|C| if C is
@@ -125,17 +292,17 @@ def _cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
         raise ValueError(f"graph too large for exact {kind} kernel")
     p = 1.0 - math.exp(-2.0 * beta)
     q = 1.0 - p
-    N = 1 << G.n
-    x = np.arange((N + 1) // 2)  # the rows with the top bit clear; one state when n = 0
+    orb = _kernel_orbits(G, A)
+    x = orb.reps
     emasks = _edge_masks(G)
     qk = q ** np.arange(G.m + 1)
     if kind == "sw":
-        half = _sw_rows(G, p, q, qk, emasks, x)
+        rows = _sw_rows(G, p, q, qk, emasks, x)
     elif kind == "iv":
-        half = _iv_rows(G, qk, emasks, x, _vertex_mask(A, G.n))
+        rows = _iv_rows(G, qk, emasks, x, _vertex_mask(A, G.n))
     else:
-        half = _msw_rows(G, p, qk, emasks, x, _vertex_mask(A, G.n))
-    return np.concatenate((half, half[::-1, ::-1]))[:N]
+        rows = _msw_rows(G, p, qk, emasks, x, _vertex_mask(A, G.n))
+    return _scatter(rows, orb)
 
 
 def _sw_rows(G: Graph, p: float, q: float, qk, emasks, x):
@@ -194,22 +361,29 @@ def _heat_bath_kernel(G: Graph, blocks, A: frozenset | None, mu: np.ndarray):
 
     From x, the chain moves to y = (x off D) | s, s any assignment on D,
     with probability mu(y) / Z(x off D), where Z sums mu over the 2^|D|
-    such y. Glauber is the case of singleton blocks. Z adds mu(y) + mu(y
-    xor D) over y, halved: the flip of x off D sums the same pairs in the
-    same order, so a flip-invariant mu gives an exactly flip-invariant P.
+    such y. Glauber is the case of singleton blocks. Z adds mu(y) +
+    mu(y xor D) over y, halved, so a flip-invariant mu gives an exactly
+    flip-invariant P. When G, A and the block family are rotation-invariant,
+    only the rows at the representatives of rotation x flip are built and
+    _scatter writes the rest, so P is exactly invariant under both (mu is a
+    function of the agreement count alone); otherwise every row is built,
+    which costs less than the scatter that would halve them.
     """
     if G.n > N_DIRECT_LIMIT:
         raise ValueError("graph too large for exact heat-bath kernel")
+    orb = _kernel_orbits(G, A, blocks, flip=False)
     codes = np.arange(1 << G.n)
+    x = orb.reps
     amask = _vertex_mask(A, G.n)
-    P = np.zeros((codes.size, codes.size))
+    P = np.zeros((x.size, codes.size))
+    a = np.arange(x.size)[:, None]
     for B in blocks:
         D = _vertex_mask(B, G.n) & amask
         rest = codes & ~D
         Z = np.bincount(rest, weights=mu + mu[codes ^ D], minlength=codes.size) / 2
-        y = rest[:, None] | codes[(codes & ~D) == 0]  # y[x, s] = rest[x] | s
-        P[codes[:, None], y] += mu[y] / Z[rest, None]
-    return P / len(blocks)
+        y = (x[:, None] & ~D) | codes[(codes & ~D) == 0]  # y[a, s] = (x_a off D) | s
+        P[a, y] += mu[y] / Z[y[:, :1]]
+    return _scatter(P / len(blocks), orb)
 
 
 def transition_matrix(G: Graph, beta: float, spec: DynamicsSpec) -> TransitionMatrix:
@@ -226,9 +400,11 @@ def transition_matrix(G: Graph, beta: float, spec: DynamicsSpec) -> TransitionMa
 
 
 def check_reversibility(P: np.ndarray, mu: np.ndarray) -> float:
-    """Max detailed-balance residual |mu(x)P(x,y) - mu(y)P(y,x)|."""
+    """Max detailed-balance residual |mu(x)P(x,y) - mu(y)P(y,x)|, taken
+    ROW_BLOCK rows at a time so each transposed block stays in cache."""
     flow = mu[:, None] * P
-    return float(np.max(np.abs(flow - flow.T)))
+    return max(float(np.max(np.abs(flow[lo:lo + ROW_BLOCK] - flow[:, lo:lo + ROW_BLOCK].T)))
+               for lo in range(0, P.shape[0], ROW_BLOCK))
 
 
 def check_stationarity(P: np.ndarray, mu: np.ndarray) -> float:
@@ -253,46 +429,40 @@ class SpectralReport:
         return math.isfinite(self.relaxation)
 
 
-def _flip_blocks(P: np.ndarray, mu: np.ndarray):
-    """(blocks, mu_b): the blocks that carry P's spectrum and its TV
-    distances, and mu on their states.
-
-    With no field, mu and every kernel built here commute with the global
-    flip x -> N-1-x. When P and mu are exactly flip-invariant, P splits
-    into the even block E = P_HH + B and the odd block O = P_HH - B on the
-    states H whose top bit is clear, where B(x, y) = P(x, N-1-y). The
-    spectrum of P is the union of theirs, each is reversible for mu_H when
-    P is for mu, and row x in H of P^t is ((E^t + O^t)/2, (E^t - O^t)/2
-    mirrored), while row N-1-x is the mirror of row x. Any other P is its
-    own single block.
-    """
-    N = P.shape[0]
-    if N % 2 or not (np.array_equal(P, P[::-1, ::-1]) and np.array_equal(mu, mu[::-1])):
-        return (P,), mu
-    h = N // 2
-    B = P[:h, h:][:, ::-1]
-    return (P[:h, :h] + B, P[:h, :h] - B), mu[:h]
-
-
 def spectral_report(P: np.ndarray, mu: np.ndarray,
                     tol: float = REV_TOL) -> SpectralReport:
-    """Eigenvalues via the similarity transform with sqrt-stationary weights.
+    """Eigenvalues via the similarity transform with sqrt-stationary weights,
+    one character block at a time.
 
-    Requires mu > 0 and reversibility, both checked on the full P. Each
-    flip block (see _flip_blocks), so transformed with sqrt(mu_H), is then
-    symmetric, so the spectrum is real.
+    Requires mu > 0, checked on the full mu, and reversibility, checked on
+    the rows at the representatives of _symmetry(P, mu): P and mu are
+    exactly invariant under its group, so those rows meet every pair of
+    states up to the group. The spectrum of P is the union of those of its
+    character blocks M_c = B_c diag(1 / |Stab|) (see _blocks), each
+    restricted to the representatives where c is trivial on the stabiliser
+    (Diaconis 1988): at n = 10 under rotation x flip, 12 solves of at most
+    56 x 56 for 1024 eigenvalues. M_c is self-adjoint for the weights
+    mu(r_a) |orbit_a|, so d_a B_c[a, b] / (d_b sqrt(s_a s_b)), d = sqrt(mu_R),
+    s = |Stab|, is Hermitian and the spectrum is real. Under the flip alone
+    these are the even and odd blocks E = P_HH + B and O = P_HH - B.
     """
     if not np.all(mu > 0.0):
         raise ValueError("mu has states of zero mass, so sqrt(mu) cannot weigh them")
-    resid = check_reversibility(P, mu)
+    orb = _symmetry(P, mu)
+    r = orb.reps
+    rows = P[r]
+    resid = float(np.max(np.abs(mu[r, None] * rows - (mu[:, None] * P[:, r]).T)))
     if resid > tol:
         raise ValueError(f"kernel not reversible: residual {resid:.3e}")
-    blocks, mu_b = _flip_blocks(P, mu)
-    d = np.sqrt(mu_b)
+    d = np.sqrt(mu[r])
+    H = ((d / np.sqrt(orb.stab))[:, None] * _blocks(P, orb)) / (d * np.sqrt(orb.stab))
+    H = (H + np.conj(H).swapaxes(1, 2)) / 2.0
     parts = []
-    for M in blocks:
-        M = (d[:, None] * M) / d[None, :]
-        parts.append(np.linalg.eigvalsh((M + M.T) / 2.0))
+    for M, keep, mult in zip(H, orb.keep, orb.mult):
+        if not keep.all():
+            M = M[np.ix_(keep, keep)]
+        # the characters of order <= 2 are real
+        parts += [np.linalg.eigvalsh(M.real if mult == 1 else M)] * mult
     lam = np.sort(np.concatenate(parts))[::-1]
     if abs(lam[0] - 1.0) > 1e-9 or np.max(np.abs(lam)) > 1.0 + 1e-9:
         raise ValueError("spectrum out of range for a stochastic reversible kernel")
@@ -302,36 +472,40 @@ def spectral_report(P: np.ndarray, mu: np.ndarray,
     return SpectralReport(eigenvalues=lam, gap=gap, relaxation=relaxation)
 
 
-def _rows(blocks) -> np.ndarray:
-    """Rows of P^t, one per state of the blocks, from the blocks' t-th powers.
+class _Distance:
+    """Worst-start TV distance from mu of a kernel given by its blocks."""
 
-    For the flip blocks, row x is its H half, then its other half in
-    mirrored order, so a flip-invariant mu reads mu_H twice along it.
-    """
-    if len(blocks) == 1:
-        return blocks[0]
-    E, O = blocks
-    rows = np.concatenate([E + O, E - O], axis=1)
-    rows *= 0.5
-    return rows
+    def __init__(self, orb: _Orbits, mu: np.ndarray):
+        tile = orb.perms.shape[0] * orb.perms.shape[1]
+        self.orb = orb
+        self.mu = np.tile(mu[orb.reps] / orb.stab, tile)  # mu along a row of _rep_rows
 
+    def far(self, M: np.ndarray, eps: float) -> bool:
+        """Whether some row of the kernel with blocks M lies farther than
+        eps from mu."""
+        dev = _rep_rows(M, self.orb) - self.mu
+        np.abs(dev, out=dev)
+        return bool(0.5 * dev.sum(axis=1).max() > eps)
 
-def _far(rows: np.ndarray, mu: np.ndarray, eps: float) -> bool:
-    """Whether some row lies farther than eps from mu in total variation."""
-    dev = rows - mu
-    np.abs(dev, out=dev)
-    return bool(0.5 * dev.sum(axis=1).max() > eps)
+    def far_product(self, A: np.ndarray, B: np.ndarray, eps: float, out=None):
+        """The blocks of the product AB of the kernels with blocks A and B,
+        written to `out` (a new array by default), when some row of AB lies
+        farther than eps from mu; else None, with `out` untouched.
 
-
-def _product_far(A, B, mu: np.ndarray, eps: float) -> bool:
-    """Whether some row of the product of the block powers A and B is far
-    from mu, one row block at a time.
-
-    Stops at the first far block, so a far product is usually decided
-    after one block, and A @ B is never held whole.
-    """
-    return any(_far(_rows([a[lo:lo + ROW_BLOCK] @ b for a, b in zip(A, B)]), mu, eps)
-               for lo in range(0, A[0].shape[0], ROW_BLOCK))
+        AB is checked ROW_BLOCK representatives at a time, so a near product
+        is never held whole. At the first far block the rest is multiplied
+        out around it: a far product is the search's next power. Each row
+        block of AB reads only the same rows of A, so `out` may be A.
+        """
+        for lo in range(0, A.shape[1], ROW_BLOCK):
+            top = _product(A[:, lo:lo + ROW_BLOCK], B)
+            if self.far(top, eps):
+                out = np.empty(A.shape, top.dtype) if out is None else out
+                for at in range(0, A.shape[1], ROW_BLOCK):
+                    rows = slice(at, at + ROW_BLOCK)
+                    out[:, rows] = top if at == lo else _product(A[:, rows], B)
+                return out
+        return None
 
 
 def tv_mixing_time(P: np.ndarray, mu: np.ndarray, eps: float = 0.25,
@@ -346,12 +520,16 @@ def tv_mixing_time(P: np.ndarray, mu: np.ndarray, eps: float = 0.25,
     answer is found by a doubling search: square P while d(2^j) > eps,
     then descend through the kept powers, adding 2^j to the largest far
     time t while d(t + 2^j) > eps. That is about 2 log2(t) matrix
-    products instead of t. P is powered as its flip blocks (see
-    _flip_blocks), whose rows give every distinct row of P^t, so a product
-    is one per block. Memory is the floor(log2 t) kept powers P^(2^j)
-    plus row blocks of ROW_BLOCK rows: a probe that finds a product near
-    is never stored, and the descent updates P^t in place and drops each
-    power after its last use. d(0) = 1 - min(mu) needs no product.
+    products instead of t. P is powered as its character blocks under
+    _symmetry(P, mu) (see _blocks): blocks multiply as B_c diag(1/|Stab|)
+    B'_c, and the rows of P^t at the representatives, read back by an
+    inverse rFFT over the rotation and the flip, give every row of P^t up
+    to a permutation, so each product is C block products of R x R. Each
+    product is checked as it is built (see _Distance.far_product) and is
+    kept only when far, as the next power or the new P^t, so none is
+    computed twice. Memory is the floor(log2 t) kept powers P^(2^j) plus
+    blocks of ROW_BLOCK rows: the descent updates P^t in place and drops
+    each power after its last use. d(0) = 1 - min(mu) needs no product.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
@@ -359,28 +537,26 @@ def tv_mixing_time(P: np.ndarray, mu: np.ndarray, eps: float = 0.25,
         raise ValueError("state space too large for matrix powering")
     if 1.0 - mu.min() <= eps:
         return 0
-    blocks, mu_b = _flip_blocks(P, mu)
-    mu_rows = np.tile(mu_b, len(blocks))  # mu along a row of _rows
+    orb = _symmetry(P, mu)
+    dist = _Distance(orb, mu)
+    blocks = _blocks(P, orb)
+    if orb.stab.max() > 1:  # else blocks may be P itself, and stays unwritten
+        blocks = blocks / orb.stab
     t = 0  # the largest time known to have d(t) > eps
     powers = []  # powers[j] = the blocks of P^(2^j), every one with d(2^j) > eps
-    far = _far(_rows(blocks), mu_rows, eps)
-    while far:
+    square = blocks if dist.far(blocks, eps) else None  # P^(2t) (P at t = 0) if far
+    while square is not None:
         t = 2 * t or 1
         if t >= cap:
             return None
-        powers.append(tuple(b @ b for b in powers[-1]) if powers else blocks)
-        far = _product_far(powers[-1], powers[-1], mu_rows, eps)
+        powers.append(square)
+        square = dist.far_product(square, square, eps)
     # The answer lies in (t, 2t] (it is 1 if t = 0): Q = P^t, bisect with
     # the other powers, largest first.
     Q = powers.pop() if powers else None
-    while powers:
-        B = powers.pop()
-        if _product_far(Q, B, mu_rows, eps):
+    while powers:  # Q is our own product here, so it is updated in place
+        if dist.far_product(Q, powers.pop(), eps, out=Q) is not None:
             t += 1 << len(powers)
-            if powers:  # Q is our own product here, so update it in place
-                for q, b in zip(Q, B):
-                    for lo in range(0, q.shape[0], ROW_BLOCK):
-                        q[lo:lo + ROW_BLOCK] = q[lo:lo + ROW_BLOCK] @ b
     return t + 1 if t < cap else None
 
 

@@ -110,11 +110,19 @@ def gibbs_exact(G: Graph, beta: float) -> GibbsTable:
     codes = np.arange(1 << G.n, dtype=np.int64)
     logw = beta * _agreement_sum(G, codes).astype(np.float64)
     top = logw.max()
-    k = np.count_nonzero(logw == top)
+    tied = logw == top
+    k = np.count_nonzero(tied)
     r = np.exp(logw - top)
-    r[logw == top] = 0.0  # zeroed, not dropped: bit for bit scipy's logsumexp
+    r[tied] = 0.0  # zeroed, not dropped: bit for bit scipy's logsumexp
     logZ = float(np.log1p(r.sum() / k) + np.log(k) + top)
-    return GibbsTable(probs=np.exp(logw - logZ), logZ=logZ)
+    probs = np.exp(logw - logZ)
+    if not abs(probs.sum() - 1.0) <= 1e-12:
+        # each exponent lost |logZ| 2^-53 (large beta): normalise r by its
+        # own sum instead. Both forms are functions of logw alone, so mu
+        # keeps every symmetry of the agreement count.
+        r[tied] = 1.0  # exp(0), the tied terms left in
+        probs = r / r.sum()
+    return GibbsTable(probs=probs, logZ=logZ)
 
 
 class FeasibilityError(ValueError):

@@ -715,6 +715,14 @@ class TestGap:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    def test_large_finite_beta_reports_zero_mass(self):
+        # the Gibbs table stays exact at beta = 5000, so the error is the true
+        # one: every state but the two ground states has mass 0
+        res = runner.invoke(main, ["gap", "--beta", "5000", "--sizes", "4"])
+        assert res.exit_code == 2
+        assert res.output.splitlines() == [
+            "error: mu has states of zero mass, so sqrt(mu) cannot weigh them"]
+
     def test_beta0_gap_one(self):
         res = runner.invoke(main, ["gap", "--beta", "0.0",
                                    "--family", "path", "--sizes", "3,4"])

@@ -32,7 +32,7 @@ from isingdyn.exact import (
     _subgraph_components,
     _vertex_mask,
 )
-from isingdyn.graph import Graph, cycle, path, random_regular
+from isingdyn.graph import Graph, complete_tree, cycle, path, random_regular
 from isingdyn.ising import gibbs_exact
 from test_acceptance import small_graph_zoo
 from test_dynamics import small_graphs
@@ -622,6 +622,162 @@ class TestFlipFold:
             spectral_report(P, mu)
         for eps in (0.01, 0.1, 0.25, 0.5):
             assert tv_mixing_time(P, mu, eps) == loop_tv_mixing_time(P, mu, eps)
+
+
+def _rotation_specs(n):
+    return {**_mixing_specs(n), "iv-V": DynamicsSpec("iv", censor=frozenset(range(n)))}
+
+
+def _record_solves(monkeypatch):
+    """Record (size, dtype) of every eigen-solve."""
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda M: solves.append((M.shape[0], M.dtype)) or eigvalsh(M))
+    return solves
+
+
+def _lazy_rotation_walk(n):
+    """P(x, x) = P(x, rot x) = 1/2: invariant under the rotation and the
+    flip, stationary for the uniform mu, and not reversible."""
+    N = 1 << n
+    x = np.arange(N)
+    P = np.eye(N) / 2
+    P[x, ((x << 1) | (x >> (n - 1))) & (N - 1)] += 0.5
+    return P, np.full(N, 1.0 / N)
+
+
+def _swapped(P, mu):
+    """P and mu relabelled by swapping vertices 0 and 1: the relabelled
+    kernel commutes with the flip but not with the rotation of a cycle, so
+    both functions fold it by the flip alone (see TestFlipFold)."""
+    x = np.arange(mu.size)
+    perm = x ^ (((x ^ (x >> 1)) & 1) * 0b11)
+    return P[np.ix_(perm, perm)], mu[perm]
+
+
+class TestRotationFold:
+    """The rotation x flip character blocks against the unfolded spectrum
+    and the flip-only t_mix.
+
+    The flip-only search, on a relabelled copy, does a quarter of the
+    unfolded flops; TestFlipFold ties it to the unfolded search. Each
+    reference t_mix is computed once per eps at ORACLE_CAP.
+    """
+
+    @pytest.mark.parametrize("kind", list(_rotation_specs(2)))
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_matches_unfolded(self, n, kind):
+        G = cycle(n)
+        for beta in (0.1, 0.4, 1.0):
+            tm = transition_matrix(G, beta, _rotation_specs(n)[kind])
+            lam = spectral_report(tm.P, tm.mu).eigenvalues
+            assert np.max(np.abs(lam - spectral_report(*_shifted(tm.P, tm.mu)).eigenvalues)) \
+                <= 1e-12
+            P2, mu2 = _swapped(tm.P, tm.mu)
+            for eps in (0.01, 0.1, 0.25, 0.5):
+                ref = tv_mixing_time(P2, mu2, eps, ORACLE_CAP)
+                caps = [0, 1] + ([ref, ref - 1] if ref is not None else [ORACLE_CAP])
+                for cap in caps:  # caps ref and ref - 1 pin the folded search's t to ref
+                    expect = ref if ref is not None and ref <= cap else None
+                    assert tv_mixing_time(tm.P, tm.mu, eps, cap) == expect, (beta, eps, cap)
+
+    def test_cycle10_glauber(self, monkeypatch):
+        tm = transition_matrix(cycle(10), 0.3, DynamicsSpec("glauber"))
+        P2, mu2 = _shifted(tm.P, tm.mu)
+        solves = _record_solves(monkeypatch)
+        lam = spectral_report(tm.P, tm.mu).eigenvalues
+        # 56 orbits; a complex block is a conjugate pair, solved once
+        assert max(size for size, _ in solves) <= 56
+        assert sum(size * (2 if dtype.kind == "c" else 1) for size, dtype in solves) == 1024
+        assert np.max(np.abs(lam - spectral_report(P2, mu2).eigenvalues)) <= 1e-12
+        refs = {0.01: 96, 0.1: 48, 0.25: 29, 0.5: 15}  # the unfolded search's
+        for eps, ref in refs.items():
+            for cap in (0, 1, ORACLE_CAP, ref, ref - 1):
+                expect = ref if ref <= cap else None
+                assert tv_mixing_time(tm.P, tm.mu, eps, cap) == expect, (eps, cap)
+        assert tv_mixing_time(P2, mu2, 0.25) == 29
+
+    def test_one_ulp_off_folds_by_flip(self, monkeypatch):
+        tm = transition_matrix(cycle(8), 0.4, DynamicsSpec("glauber"))
+        P = tm.P.copy()
+        x, y = 3, 5
+        for a, b in ((x, y), (255 - x, 255 - y)):
+            P[a, b] = np.nextafter(P[a, b], 1.0)
+        assert np.array_equal(P, P[::-1, ::-1])
+        solves = _record_solves(monkeypatch)
+        lam = spectral_report(P, tm.mu).eigenvalues
+        assert [size for size, _ in solves] == [128, 128]
+        assert np.max(np.abs(lam - spectral_report(tm.P, tm.mu).eigenvalues)) <= 1e-12
+
+    def test_censored_to_one_vertex_folds_by_flip(self, monkeypatch):
+        tm = transition_matrix(cycle(8), 0.4, DynamicsSpec("iv", censor=frozenset({0})))
+        solves = _record_solves(monkeypatch)
+        spectral_report(tm.P, tm.mu)
+        assert [size for size, _ in solves] == [128, 128]
+
+    def test_kernels_exactly_invariant(self):
+        # every row is a permuted row at a representative, so the checks
+        # that choose the fold pass on every kind, IV included
+        N = 1 << 9
+        x = np.arange(N)
+        rot = ((x << 1) | (x >> 8)) & (N - 1)
+        for kind, spec in _rotation_specs(9).items():
+            tm = transition_matrix(cycle(9), 0.4, spec)
+            assert np.array_equal(tm.P, tm.P[::-1, ::-1]), kind
+            invariant = np.array_equal(tm.P[np.ix_(rot, rot)], tm.P)
+            assert invariant == (kind in ("sw", "iv", "msw", "glauber", "iv-V")), kind
+
+    def test_nonreversible_rotation_invariant_kernel(self):
+        P, mu = _lazy_rotation_walk(8)
+        x = np.arange(256)
+        rot = ((x << 1) | (x >> 7)) & 255
+        assert np.array_equal(P[np.ix_(rot, rot)], P)
+        assert np.array_equal(P, P[::-1, ::-1])
+        # the residual read on the representatives' rows is the full one
+        with pytest.raises(ValueError, match=f"not reversible: residual "
+                                             f"{check_reversibility(P, mu):.3e}"):
+            spectral_report(P, mu)
+        for eps in (0.01, 0.1, 0.25, 0.5):
+            assert tv_mixing_time(P, mu, eps, cap=40) == loop_tv_mixing_time(P, mu, eps, 40)
+        assert tv_mixing_time(P, mu, 0.997) == loop_tv_mixing_time(P, mu, 0.997) == 0
+
+
+def _spider(legs):
+    """A centre (vertex 0) with paths of the given lengths attached."""
+    edges, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph(n=n, edges=tuple(edges))
+
+
+TREES = {"path2": path(2), "path4": path(4), "path7": path(7),
+         "star4": complete_tree(3, 1), "star7": _spider([1] * 6),
+         "complete_tree(2,2)": complete_tree(2, 2), "spider(2,2,2)": _spider([2, 2, 2])}
+
+
+class TestTreeSpectrumOracle:
+    """SW on a tree: each edge's agreement is its own two-state chain (kept
+    w.p. p when it agrees, else a fresh fair coin, since an unkept tree edge
+    separates two clusters), and the global sign is redrawn every step. So
+    the spectrum is (p/2)^k with multiplicity C(m, k), plus 2^m zeros,
+    with no use of the row formula or of T/Q/S/K."""
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("name", list(TREES))
+    def test_sw_spectrum(self, name, beta):
+        G = TREES[name]
+        assert G.m == G.n - 1 and G.n <= 7
+        p = 1.0 - math.exp(-2.0 * beta)
+        want = [0.0] * (1 << G.m)
+        for k in range(G.m + 1):
+            want += [(p / 2) ** k] * math.comb(G.m, k)
+        tm = transition_matrix(G, beta, DynamicsSpec("sw"))
+        lam = spectral_report(tm.P, tm.mu).eigenvalues
+        assert np.max(np.abs(lam - np.sort(want)[::-1])) <= 1e-12
 
 
 class TestDirichletForm:

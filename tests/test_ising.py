@@ -171,6 +171,19 @@ class TestGibbsExact:
         # tied terms, or summing all terms at once, moves a last bit
         assert gibbs_exact(G, beta).logZ == float.fromhex(bits)
 
+    @pytest.mark.parametrize("G,beta,ground", [
+        (cycle(4), 5000.0, (0b0000, 0b1111)),
+        (cycle(10), 2000.0, (0, (1 << 10) - 1)),
+        (path(3), 1e300, (0b000, 0b111)),
+    ], ids=["cycle4", "cycle10", "path3"])
+    def test_table_exact_at_large_finite_beta(self, G, beta, ground):
+        # exp(logw - logZ) loses about |logZ| 2^-53 in each exponent; r / r.sum()
+        # with r = exp(logw - top) keeps the table exact
+        t = gibbs_exact(G, beta)
+        assert abs(t.probs.sum() - 1.0) <= 1e-12
+        assert all(t.probs[x] == 1.0 / len(ground) for x in ground)
+        assert np.array_equal(t.probs, t.probs[::-1])
+
     def test_matches_direct_weights(self):
         G = path(4)
         beta = 0.6
