@@ -7,11 +7,11 @@ and MSW kernels (which read all edge subsets), and MAX_OPERATOR_STATES
 states for the materialized joint- and marked-space operators.
 
 The SW, IV and MSW kernels come from the Edwards-Sokal joint measure
-(percolate E(sigma) with p = 1 - e^(-2 beta), then recolour): SW and IV
-by row formulas, MSW as the product sum_F A(sigma,F) G(F,D) of the
-percolation matrix A and its recolouring matrix G (see _cluster_kernel).
-They never go through T/Q/S/K, so verify_decompositions compares two
-constructions.
+(percolate E(sigma) with p = 1 - e^(-2 beta), then recolour), each by a
+row formula (see _cluster_kernel): SW and MSW read one subset-sum
+transform over the edge subsets, with a weight per cluster, and IV a
+superset transform over vertex sets. They never go through T/Q/S/K, so
+verify_decompositions compares two constructions.
 
 Kernels and mu commute with the global flip (no field) and, on a graph,
 censor set and block family that the rotation v -> v + 1 (mod n) maps to
@@ -68,7 +68,6 @@ __all__ = [
 
 MAX_OPERATOR_STATES = 1 << 14
 REV_TOL = 1e-9
-F_CHUNK = 1024
 ROW_BLOCK = 128
 ROTATION_MIN_STATES = 1 << 8
 
@@ -270,23 +269,24 @@ def _cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
     p = 1 - e^(-2 beta), q = 1 - p, a step keeps each edge of E(x) with
     probability p, and E(D) reads a vertex set D as a configuration.
 
-    - sw:  with M = E(x) int E(y), P(x, y) = q^(|E(x)|-|M|) W(M), where
-      W(M) = sum over F in M of p^|F| q^|M-F| 2^-c(F) and c(F) counts the
-      clusters of (V, F) (Edwards-Sokal). W is one subset-sum transform of
-      p^|F| 2^-c(F) over the 2^m edge subsets: O(m 2^m), then an R x N gather.
+    - sw, msw: with D = x xor y, P(x, y) = q^|E(x) - E(D)| U(M), where
+      U(M) = sum over F in M of p^|F| q^|M-F| h(F) and h(F) is a product
+      over the clusters C of (V, F) (Edwards-Sokal). U is one subset-sum
+      transform of p^|F| h(F) over the 2^m edge subsets, O(m 2^m), read at
+      R x N entries; the cluster sizes come from dynamics._subset_roots.
+      - sw: each cluster weighs 1/2, and M = E(x) int E(D) = E(x) int E(y).
+      - msw: a cluster C inside A weighs 1 - 2^-|C| and any other 1. For D
+        in A, M = E(x) int E[V-D], the edges of E(x) with no end in D;
+        other D have P = 0. A kept F that moves x to x xor D lies in E(D),
+        so it splits into edges inside D and inside V-D. Summed over the
+        former, D's clusters, which all flip, weigh 2^-|D| together; that
+        cancels the 1/2 that h gives each vertex of D, a singleton of F in
+        E[V-D].
     - iv:  for D in A, P(x, x xor D) = 2^-|D| times the sum over D in S in A
       of (-1/2)^|S-D| q^e_x(S), where e_x(S) counts the edges of E(x) with
       an end in S (S is isolated w.p. q^e_x(S); Moebius inversion gives the
       exact isolated set). Other D have P = 0. One superset transform per
       row, O(R n 2^n) in all, and no edge subsets, so no edge limit.
-    - msw: sum over F of A(x,F) G(F,D) with A(x,F) = p^|F| q^(|E(x)|-|F|)
-      if F lies in E(x), else 0, and G = 1[F in E(D), D in L] times, over
-      the components C of (V,F) inside A (their union is L), 2^-|C| if C is
-      in D, else 1 - 2^-|C|. Each G(F,.) is 1[F in E(D)] times a product
-      over vertices of f0 or f1, as the vertex is outside or inside D (a
-      component's factor sits on its lowest vertex), so its row is a
-      Kronecker product; R = A G is summed over chunks of F_CHUNK edge
-      subsets, and P(x, y) = R(x, x xor y).
     """
     if G.n > N_DIRECT_LIMIT or (kind != "iv" and G.m > M_CLUSTER_LIMIT):
         raise ValueError(f"graph too large for exact {kind} kernel")
@@ -296,31 +296,51 @@ def _cluster_kernel(G: Graph, beta: float, kind: str, A: frozenset | None):
     x = orb.reps
     emasks = _edge_masks(G)
     qk = q ** np.arange(G.m + 1)
-    if kind == "sw":
-        rows = _sw_rows(G, p, q, qk, emasks, x)
-    elif kind == "iv":
-        rows = _iv_rows(G, qk, emasks, x, _vertex_mask(A, G.n))
+    amask = _vertex_mask(A, G.n)
+    if kind == "iv":
+        rows = _iv_rows(G, qk, emasks, x, amask)
     else:
-        rows = _msw_rows(G, p, qk, emasks, x, _vertex_mask(A, G.n))
+        rows = _subset_sum_rows(G, p, q, qk, emasks, x, kind, amask)
     return _scatter(rows, orb)
 
 
-def _sw_rows(G: Graph, p: float, q: float, qk, emasks, x):
-    roots = _subset_roots(G)
-    Fs = np.arange(1 << G.m)
-    W = p ** np.bitwise_count(Fs) * 0.5 ** np.sum(roots == np.arange(G.n), axis=1)
-    for i in range(G.m):  # W[M] += q W[M - e_i] for every M holding e_i
-        Wi = W.reshape(-1, 2, 1 << i)
-        Wi[:, 1] += q * Wi[:, 0]
-    M = emasks[x, None] & emasks
-    return qk[np.bitwise_count(emasks[x, None] ^ M)] * W[M]
-
-
-def _iv_rows(G: Graph, qk, emasks, x, amask: int):
-    touch = np.zeros(1, dtype=np.int64)  # touch[S]: the edges with an end in S
+def _touch(G: Graph) -> np.ndarray:
+    """touch[S]: the edges with an end in S, for every vertex set S."""
+    touch = np.zeros(1, dtype=np.int64)
     for v in range(G.n):
         incident = sum(1 << i for i, e in enumerate(G.edges) if v in e)
         touch = np.concatenate((touch, touch | incident))
+    return touch
+
+
+def _cluster_weights(G: Graph, kind: str, amask: int) -> np.ndarray:
+    """h(F) for every edge subset F: the product over the clusters C of
+    (V, F) of 1/2 (sw), or of 1 - 2^-|C| if C lies in A, else 1 (msw)."""
+    roots = _subset_roots(G)
+    if kind == "sw":
+        return 0.5 ** np.sum(roots == np.arange(G.n), axis=1)
+    F = np.arange(len(roots))[:, None]
+    cell = roots + G.n * F  # v's root, numbered apart per edge subset
+    size = np.bincount(cell.ravel(), minlength=cell.size).reshape(cell.shape)  # |C| at C's root
+    size[F, roots[:, [v for v in range(G.n) if not amask >> v & 1]]] = 0  # C leaves A
+    return np.where(size > 0, 1.0 - 0.5 ** size, 1.0).prod(axis=1)
+
+
+def _subset_sum_rows(G: Graph, p: float, q: float, qk, emasks, x, kind: str, amask: int):
+    U = p ** np.bitwise_count(np.arange(1 << G.m)) * _cluster_weights(G, kind, amask)
+    for i in range(G.m):  # U[M] += q U[M - e_i] for every M holding e_i
+        Ui = U.reshape(-1, 2, 1 << i)
+        Ui[:, 1] += q * Ui[:, 0]
+    ex = emasks[x, None]
+    rows = qk[np.bitwise_count(ex & ~emasks)]  # E(x) - E(y) = E(x) - E(D)
+    if kind == "sw":
+        return rows * U[ex & emasks]
+    D = x[:, None] ^ np.arange(emasks.size)
+    return np.where((D & ~amask) == 0, rows * U[ex & ~_touch(G)[D]], 0.0)
+
+
+def _iv_rows(G: Graph, qk, emasks, x, amask: int):
+    touch = _touch(G)
     S = np.arange(touch.size)
     R = np.where((S & ~amask) == 0, qk[np.bitwise_count(emasks[x, None] & touch)], 0.0)
     for v in range(G.n):
@@ -329,31 +349,6 @@ def _iv_rows(G: Graph, qk, emasks, x, amask: int):
             Rv[:, :, 0] -= 0.5 * Rv[:, :, 1]
     R *= 0.5 ** np.bitwise_count(S)
     return np.take_along_axis(R, x[:, None] ^ S, axis=1)
-
-
-def _msw_rows(G: Graph, p: float, qk, emasks, x, amask: int):
-    cm = _subgraph_components(G)
-    bit = 1 << np.arange(G.n, dtype=np.int64)
-    leader = (cm & (bit - 1)) == 0
-    inside = (cm & ~amask) == 0
-    flip = 0.5 ** np.bitwise_count(cm)
-    f0 = np.where(leader & inside, 1.0 - flip, 1.0)
-    f1 = np.where(inside, np.where(leader, flip, 1.0), 0.0)
-    k = np.arange(G.m + 1)
-    w = p ** k[None, :] * qk[np.abs(k[:, None] - k[None, :])]  # w[|E(x)|, |F|]
-    Fs = np.arange(1 << G.m)
-    ne, nf = np.bitwise_count(emasks[x]), np.bitwise_count(Fs)
-    R = np.zeros((x.size, emasks.size))
-    for lo in range(0, 1 << G.m, F_CHUNK):
-        blk = slice(lo, lo + F_CHUNK)
-        sub = (Fs[blk] & ~emasks[:, None]) == 0  # sub[D, F] = 1[F in E(D)]
-        Ablk = np.where(sub[x], w[ne[:, None], nf[blk]], 0.0)
-        Gblk = np.ones((sub.shape[1], 1))
-        for v in range(G.n):
-            Gblk = np.concatenate([Gblk * f0[blk, v, None], Gblk * f1[blk, v, None]],
-                                  axis=1)
-        R += Ablk @ (Gblk * sub.T)
-    return np.take_along_axis(R, x[:, None] ^ np.arange(emasks.size), axis=1)
 
 
 def _heat_bath_kernel(G: Graph, blocks, A: frozenset | None, mu: np.ndarray):
