@@ -206,15 +206,18 @@ def _symmetry(P: np.ndarray, mu: np.ndarray) -> _Orbits:
     invariant under: rotation x flip on at least ROTATION_MIN_STATES = 2^n
     states, else the flip when N is even, else the trivial group."""
     N = P.shape[0]
-    if N % 2 or not (np.array_equal(P, P[::-1, ::-1]) and np.array_equal(mu, mu[::-1])):
-        return _orbits(N, 1, 1)
     n, h = N.bit_length() - 1, N // 2
+    # the bottom half of P = P[::-1, ::-1] states the top half's equations
+    if N % 2 or not (np.array_equal(P[:h], P[::-1][:h, ::-1]) and np.array_equal(mu, mu[::-1])):
+        return _orbits(N, 1, 1)
     # rot maps x = b h + r (b the top bit) to 2 r + b, so P(rot x, rot y) is
-    # a transposed view of P split as (h, 2) x (h, 2): no gather, no copy
+    # a transposed view of P split as (h, 2) x (h, 2): no gather, no copy.
+    # The flip maps the rows with b = 1 to those with b = 0 and their
+    # equations to theirs, so only the top half's are compared.
     if (N >= ROTATION_MIN_STATES and N == 1 << n
             and np.array_equal(mu.reshape(h, 2).T, mu.reshape(2, h))
-            and np.array_equal(P.reshape(h, 2, h, 2).transpose(1, 0, 3, 2),
-                               P.reshape(2, h, 2, h))):
+            and np.array_equal(P.reshape(h, 2, h, 2)[:, 0].transpose(0, 2, 1),
+                               P[:h].reshape(h, 2, h))):
         return _orbits(N, n, 2)
     return _orbits(N, 1, 2)
 
@@ -394,12 +397,22 @@ def transition_matrix(G: Graph, beta: float, spec: DynamicsSpec) -> TransitionMa
     return TransitionMatrix(P=P, mu=mu)
 
 
+def _residual(P: np.ndarray, mu: np.ndarray, orb: _Orbits) -> float:
+    """Max |mu(x)P(x,y) - mu(y)P(y,x)| over the rows x at the representatives
+    of orb, ROW_BLOCK rows at a time. P and mu are exactly invariant under
+    its group, so each pair of states is some (g r, g y) and multiplies the
+    same operands as (r, y): this is the max over all pairs, to the bit."""
+    r = orb.reps
+    return max(float(np.max(np.abs(mu[r[lo:lo + ROW_BLOCK], None] * P[r[lo:lo + ROW_BLOCK]]
+                                   - P[:, r[lo:lo + ROW_BLOCK]].T * mu)))
+               for lo in range(0, len(r), ROW_BLOCK))
+
+
 def check_reversibility(P: np.ndarray, mu: np.ndarray) -> float:
-    """Max detailed-balance residual |mu(x)P(x,y) - mu(y)P(y,x)|, taken
-    ROW_BLOCK rows at a time so each transposed block stays in cache."""
-    flow = mu[:, None] * P
-    return max(float(np.max(np.abs(flow[lo:lo + ROW_BLOCK] - flow[:, lo:lo + ROW_BLOCK].T)))
-               for lo in range(0, P.shape[0], ROW_BLOCK))
+    """Max detailed-balance residual |mu(x)P(x,y) - mu(y)P(y,x)| over all
+    pairs of states, read from the rows at the representatives of
+    _symmetry(P, mu) (see _residual)."""
+    return _residual(P, mu, _symmetry(P, mu))
 
 
 def check_stationarity(P: np.ndarray, mu: np.ndarray) -> float:
@@ -429,11 +442,10 @@ def spectral_report(P: np.ndarray, mu: np.ndarray,
     """Eigenvalues via the similarity transform with sqrt-stationary weights,
     one character block at a time.
 
-    Requires mu > 0, checked on the full mu, and reversibility, checked on
-    the rows at the representatives of _symmetry(P, mu): P and mu are
-    exactly invariant under its group, so those rows meet every pair of
-    states up to the group. The spectrum of P is the union of those of its
-    character blocks M_c = B_c diag(1 / |Stab|) (see _blocks), each
+    Requires mu > 0, checked on the full mu, and reversibility, checked by
+    _residual on the rows at the representatives of _symmetry(P, mu) (the
+    number check_reversibility returns). The spectrum of P is the union of
+    those of its character blocks M_c = B_c diag(1 / |Stab|) (see _blocks), each
     restricted to the representatives where c is trivial on the stabiliser
     (Diaconis 1988): at n = 10 under rotation x flip, 12 solves of at most
     56 x 56 for 1024 eigenvalues. M_c is self-adjoint for the weights
@@ -444,12 +456,10 @@ def spectral_report(P: np.ndarray, mu: np.ndarray,
     if not np.all(mu > 0.0):
         raise ValueError("mu has states of zero mass, so sqrt(mu) cannot weigh them")
     orb = _symmetry(P, mu)
-    r = orb.reps
-    rows = P[r]
-    resid = float(np.max(np.abs(mu[r, None] * rows - (mu[:, None] * P[:, r]).T)))
+    resid = _residual(P, mu, orb)
     if resid > tol:
         raise ValueError(f"kernel not reversible: residual {resid:.3e}")
-    d = np.sqrt(mu[r])
+    d = np.sqrt(mu[orb.reps])
     H = ((d / np.sqrt(orb.stab))[:, None] * _blocks(P, orb)) / (d * np.sqrt(orb.stab))
     H = (H + np.conj(H).swapaxes(1, 2)) / 2.0
     parts = []

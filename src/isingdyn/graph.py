@@ -121,13 +121,17 @@ def load_edge_list(path) -> Graph:
     return Graph(n=max_v + 1, edges=tuple(edges))
 
 
-def distances(G: Graph, v: int, blocked=()) -> dict[int, int]:
-    """Graph distance from v to each vertex it reaches without entering
-    `blocked`, keyed in breadth-first visit order (v first)."""
+def distances(G: Graph, v: int, blocked=(), depth: int = MAX_VERTICES) -> dict[int, int]:
+    """Graph distance from v to each vertex within `depth` of v that it
+    reaches without entering `blocked`, keyed in breadth-first visit order
+    (v first). The walk stops at the first vertex at distance `depth`, so
+    no farther vertex is visited; the default exceeds every distance."""
     dist = {v: 0}
     queue = [v]
-    for u in queue:  # grows while it is read
+    for u in queue:  # grows while it is read, in non-decreasing distance
         d = dist[u] + 1
+        if d > depth:
+            break
         for w in G.adjacency[u]:
             if w not in dist and w not in blocked:
                 dist[w] = d
@@ -135,22 +139,24 @@ def distances(G: Graph, v: int, blocked=()) -> dict[int, int]:
     return dist
 
 
-def _checked_distances(G: Graph, v: int, R: int) -> dict[int, int]:
+def _checked_distances(G: Graph, v: int, R: int, depth: int) -> dict[int, int]:
     if not 0 <= v < G.n:
         raise GraphError(f"vertex {v} out of range")
     if R < 0:
         raise GraphError("radius must be nonnegative")
-    return distances(G, v)
+    return distances(G, v, depth=depth)
 
 
 def ball(G: Graph, v: int, R: int) -> frozenset:
-    """B(v,R): all vertices at graph distance at most R from v."""
-    return frozenset(u for u, d in _checked_distances(G, v, R).items() if d <= R)
+    """B(v,R): all vertices at graph distance at most R from v, from a walk
+    that stops at depth R."""
+    return frozenset(_checked_distances(G, v, R, R))
 
 
 def sphere(G: Graph, v: int, R: int) -> frozenset:
-    """S(v,R): the vertices at graph distance exactly R+1 from v."""
-    return frozenset(u for u, d in _checked_distances(G, v, R).items() if d == R + 1)
+    """S(v,R): the vertices at graph distance exactly R+1 from v, from a
+    walk that stops at depth R+1."""
+    return frozenset(u for u, d in _checked_distances(G, v, R, R + 1).items() if d > R)
 
 
 def cycle(n: int) -> Graph:

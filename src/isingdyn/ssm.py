@@ -66,9 +66,12 @@ def _influences(G: Graph, beta: float, v: int, R: int) -> dict:
     if len(S) > SPHERE_LIMIT:
         raise FeasibilityError(
             f"sphere of size {len(S)} at (v={v}, R={R}) exceeds limit {SPHERE_LIMIT}")
-    marg = _sphere_marginals(G, beta, v, S)
-    return {u: float(np.max(np.abs(np.diff(marg, axis=len(S) - 1 - j))))
-            for j, u in enumerate(S)}
+    flat = _sphere_marginals(G, beta, v, S).reshape(-1)
+    out = {}
+    for j, u in enumerate(S):  # S[j]'s axis has stride 2^j in flat
+        t = flat.reshape(-1, 2, 1 << j)
+        out[u] = float(np.abs(t[:, 1] - t[:, 0]).max())
+    return out
 
 
 def influence_au(G: Graph, beta: float, v: int, R: int, u: int) -> float:

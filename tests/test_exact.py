@@ -26,10 +26,12 @@ from isingdyn.exact import (
     transition_matrix,
     tv_mixing_time,
     verify_decompositions,
+    ROW_BLOCK,
     _cluster_kernel,
     _edge_masks,
     _ratio_increasing,
     _subgraph_components,
+    _symmetry,
     _vertex_mask,
 )
 from isingdyn.graph import Graph, complete_tree, cycle, path, random_regular
@@ -613,6 +615,15 @@ def _shifted(P, mu):
     return P[np.ix_(perm, perm)], mu[perm]
 
 
+def _lazy_four_cycle():
+    """The lazy walk 0 -> 1 -> 3 -> 2 -> 0: it commutes with the flip and
+    keeps the uniform mu, but is not reversible."""
+    P = np.eye(4) / 2
+    for x, y in ((0, 1), (1, 3), (3, 2), (2, 0)):
+        P[x, y] = 0.5
+    return P, np.full(4, 0.25)
+
+
 class TestFlipFold:
     """The even/odd flip blocks against the unfolded N x N path."""
 
@@ -652,12 +663,7 @@ class TestFlipFold:
             assert shapes == [(8, 8)], kind
 
     def test_nonreversible_flip_invariant_kernel(self):
-        # the lazy walk 0 -> 1 -> 3 -> 2 -> 0 commutes with the flip and
-        # keeps the uniform mu, but is not reversible
-        P = np.eye(4) / 2
-        for x, y in ((0, 1), (1, 3), (3, 2), (2, 0)):
-            P[x, y] = 0.5
-        mu = np.full(4, 0.25)
+        P, mu = _lazy_four_cycle()
         assert np.array_equal(P, P[::-1, ::-1])
         with pytest.raises(ValueError, match="not reversible"):
             spectral_report(P, mu)
@@ -740,16 +746,32 @@ class TestRotationFold:
         assert tv_mixing_time(P2, mu2, 0.25) == 29
 
     def test_one_ulp_off_folds_by_flip(self, monkeypatch):
+        # the rotation is compared on the top half only: (3, 5) sits on an
+        # odd top row and its image on an even bottom row, (2, 5) on an even
+        # top row and its image on an odd bottom row
         tm = transition_matrix(cycle(8), 0.4, DynamicsSpec("glauber"))
-        P = tm.P.copy()
-        x, y = 3, 5
-        for a, b in ((x, y), (255 - x, 255 - y)):
-            P[a, b] = np.nextafter(P[a, b], 1.0)
-        assert np.array_equal(P, P[::-1, ::-1])
         solves = _record_solves(monkeypatch)
-        lam = spectral_report(P, tm.mu).eigenvalues
-        assert [size for size, _ in solves] == [128, 128]
-        assert np.max(np.abs(lam - spectral_report(tm.P, tm.mu).eigenvalues)) <= 1e-12
+        for x, y in ((3, 5), (2, 5)):
+            P = tm.P.copy()
+            for a, b in ((x, y), (255 - x, 255 - y)):
+                P[a, b] = np.nextafter(P[a, b], 1.0)
+            assert np.array_equal(P, P[::-1, ::-1])
+            solves.clear()
+            lam = spectral_report(P, tm.mu).eigenvalues
+            assert [size for size, _ in solves] == [128, 128], (x, y)
+            assert np.max(np.abs(lam - spectral_report(tm.P, tm.mu).eigenvalues)) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [(0, 3, 127), (128, 252, 255)], ids=["top", "bottom"])
+    def test_one_ulp_off_in_one_half_does_not_fold(self, rows):
+        # the flip is compared on the top half only; a lone entry moved on
+        # either half breaks it, on the first, an inner and the last row
+        tm = transition_matrix(cycle(8), 0.4, DynamicsSpec("glauber"))
+        for a in rows:
+            P = tm.P.copy()
+            b = np.flatnonzero(P[a])[-1]
+            P[a, b] = np.nextafter(P[a, b], 1.0)
+            assert len(_symmetry(P, tm.mu).reps) == 256, a
+            assert check_reversibility(P, tm.mu) == full_pair_residual(P, tm.mu), a
 
     def test_censored_to_one_vertex_folds_by_flip(self, monkeypatch):
         tm = transition_matrix(cycle(8), 0.4, DynamicsSpec("iv", censor=frozenset({0})))
@@ -782,6 +804,54 @@ class TestRotationFold:
         for eps in (0.01, 0.1, 0.25, 0.5):
             assert tv_mixing_time(P, mu, eps, cap=40) == loop_tv_mixing_time(P, mu, eps, 40)
         assert tv_mixing_time(P, mu, 0.997) == loop_tv_mixing_time(P, mu, 0.997) == 0
+
+
+def full_pair_residual(P, mu):
+    """Max |mu(x)P(x,y) - mu(y)P(y,x)| over all N x N pairs of states, from
+    the whole flow matrix, ROW_BLOCK rows at a time."""
+    flow = mu[:, None] * P
+    return max(float(np.max(np.abs(flow[lo:lo + ROW_BLOCK] - flow[:, lo:lo + ROW_BLOCK].T)))
+               for lo in range(0, P.shape[0], ROW_BLOCK))
+
+
+class TestResidualOnRepresentatives:
+    """check_reversibility reads the rows at the representatives only, and
+    returns the full-pair residual to the bit."""
+
+    @pytest.mark.parametrize("gname", ["cycle8", "cycle9", "cycle10", "random_regular8", "path5"])
+    def test_matches_full_pair_oracle(self, gname):
+        # cycles fold by rotation x flip (block kinds by the flip), the
+        # others by the flip; the relabelled copies do not fold
+        G = {"cycle8": cycle(8), "cycle9": cycle(9), "cycle10": cycle(10),
+             "random_regular8": random_regular(8, 3, 1), "path5": path(5)}[gname]
+        for kind, spec in _mixing_specs(G.n).items():
+            tm = transition_matrix(G, 0.4, spec)
+            for P, mu in ((tm.P, tm.mu), _shifted(tm.P, tm.mu)):
+                assert check_reversibility(P, mu) == full_pair_residual(P, mu), kind
+
+    def test_nonreversible_matches_full_pair_oracle(self):
+        for P, mu in (_lazy_four_cycle(), _lazy_rotation_walk(8)):
+            assert len(_symmetry(P, mu).reps) < mu.size
+            assert check_reversibility(P, mu) == full_pair_residual(P, mu) > 1e-3
+
+    def test_each_representative_row_is_read(self):
+        # The lazy rotation walk on one orbit, the identity elsewhere, is
+        # off balance on pairs inside that orbit only, and those are met by
+        # no other representative's row. (A pair across two orbits is met
+        # from both sides, and under the flip a pair inside an orbit is its
+        # own reverse's image, so there every orbit is balanced.)
+        walk, mu = _lazy_rotation_walk(8)
+        orb = _symmetry(walk, mu)
+        x = np.arange(256)
+        rot = ((x << 1) | (x >> 7)) & 255
+        for r in orb.reps:
+            orbit = np.unique(orb.perms[:, :, r])
+            P = np.eye(256)
+            P[orbit] = walk[orbit]
+            assert np.array_equal(_symmetry(P, mu).reps, orb.reps)
+            want = full_pair_residual(P, mu)
+            assert check_reversibility(P, mu) == want, r
+            assert (want > 0) == (rot[rot[r]] != r), r
 
 
 def _spider(legs):

@@ -139,14 +139,21 @@ class TestBallSphere:
         assert sphere(cycle(6), 0, 1) == {2, 4}
 
     def test_out_of_range(self):
-        with pytest.raises(GraphError):
-            ball(path(3), 5, 1)
+        for f in (ball, sphere):
+            for v, R in ((5, 1), (3, 0), (-1, 0), (0, -1)):
+                with pytest.raises(GraphError):
+                    f(path(3), v, R)
 
-    @given(st.integers(3, 9), st.integers(0, 8), st.integers(0, 4))
-    def test_matches_bfs_oracle(self, n, v, R):
-        G = cycle(n)
-        v = v % n
+    @settings(max_examples=200)
+    @given(st.one_of(small_graphs(), st.integers(3, 12).map(cycle), st.integers(1, 12).map(path)),
+           st.data())
+    def test_matches_bfs_oracle(self, G, data):
+        # cycles and paths stop the bounded walk partway through a long
+        # component; sparse small_graphs draws have several components
+        v = data.draw(st.integers(0, G.n - 1))
+        R = data.draw(st.integers(0, G.n))
         dist = bfs_oracle(G, v)
+        assert distances(G, v, depth=R) == {u: d for u, d in dist.items() if d <= R}
         assert ball(G, v, R) == {u for u, d in dist.items() if d <= R}
         assert sphere(G, v, R) == {u for u, d in dist.items() if d == R + 1}
 
@@ -159,10 +166,8 @@ class TestBallSphere:
         assert dist == bfs_oracle(G, v, blocked)
         # visit order: v first, distances never decrease
         assert next(iter(dist)) == v and list(dist.values()) == sorted(dist.values())
-        R = data.draw(st.integers(0, G.n))
-        full = bfs_oracle(G, v)
-        assert ball(G, v, R) == {u for u, d in full.items() if d <= R}
-        assert sphere(G, v, R) == {u for u, d in full.items() if d == R + 1}
+        depth = data.draw(st.integers(0, G.n))
+        assert distances(G, v, blocked, depth) == {u: d for u, d in dist.items() if d <= depth}
 
     @given(st.integers(3, 9), st.integers(0, 4))
     def test_nesting_and_disjointness(self, n, R):

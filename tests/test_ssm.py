@@ -47,6 +47,8 @@ def full_length_influences(G, beta, v, R):
     gets an array of all 2^|S| codes, and a_u is read off by boolean
     gathers on bit j of the code."""
     S = sorted(sphere(G, v, R))
+    if not S:
+        return {}
     codes = np.arange(1 << len(S), dtype=np.int64)
     clamp = {u: 2 * ((codes >> j) & 1) - 1 for j, u in enumerate(S)}
     marg = clamped_marginals(G, beta, v, clamp)
@@ -185,14 +187,15 @@ class TestSphereAxes:
     long-double reference."""
 
     def test_tree_bit_identical(self):
-        G = complete_tree(3, 4)
-        for R in range(5):
-            for v in range(G.n):
-                try:
-                    got = _influences(G, 0.4, v, R)
-                except FeasibilityError:  # sphere past SPHERE_LIMIT
-                    continue
-                assert got == full_length_influences(G, 0.4, v, R), (v, R)
+        # the tree reads message-passing marginals, the grid enumerated ones
+        for G, beta in ((complete_tree(3, 4), 0.4), (grid(5, 5), 0.2)):
+            for R in range(5):
+                for v in range(G.n):
+                    try:
+                        got = _influences(G, beta, v, R)
+                    except FeasibilityError:  # sphere or free region past its limit
+                        continue
+                    assert got == full_length_influences(G, beta, v, R), (G, v, R)
 
     def test_enumeration_accuracy(self):
         G = grid(5, 5)
