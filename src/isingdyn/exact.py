@@ -166,12 +166,12 @@ def _characters(T: np.ndarray) -> np.ndarray:
     return S.reshape(-1, *S.shape[2:])
 
 
-def _kernel_orbits(G: Graph, A: frozenset | None, blocks=(), flip: bool = True) -> _Orbits:
+def _kernel_orbits(G: Graph, A: frozenset | None, blocks=()) -> _Orbits:
     """The group a kernel on G is built under: the rotation v -> v + 1
     (mod n) times the flip when the rotation maps G's edges, A and the block
     family to themselves and there are at least ROTATION_MIN_STATES states
-    (below that the fold costs more than it saves), else the flip (no field)
-    if `flip`, else the trivial group."""
+    (below that the fold costs more than it saves), else the flip (no
+    field). Only n = 0, one state, gets the trivial group."""
     N = 1 << G.n
     k = 1
     if N >= ROTATION_MIN_STATES:
@@ -181,7 +181,7 @@ def _kernel_orbits(G: Graph, A: frozenset | None, blocks=(), flip: bool = True) 
         if ({rot(e) for e in edges} == edges and (A is None or rot(A) == frozenset(A))
                 and Counter(map(rot, blocks)) == Counter(map(frozenset, blocks))):
             k = G.n
-    return _orbits(N, k, 2 if G.n and (flip or k > 1) else 1)
+    return _orbits(N, k, 2 if G.n else 1)
 
 
 def _scatter(rows: np.ndarray, orb: _Orbits) -> np.ndarray:
@@ -233,15 +233,6 @@ def _blocks(P: np.ndarray, orb: _Orbits) -> np.ndarray:
     if not orb.keep.all():
         B *= orb.keep[:, :, None] & orb.keep[:, None, :]
     return B
-
-
-def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The blocks M_c = B_c diag(1 / |Stab|) of a product of two kernels,
-    from theirs: M_c(PQ) = M_c(P) M_c(Q), one character at a time."""
-    out = np.empty(A.shape, np.result_type(A, B))
-    for a, b, o in zip(A, B, out):
-        np.matmul(a, b, out=o)
-    return out
 
 
 def _rep_rows(M: np.ndarray, orb: _Orbits) -> np.ndarray:
@@ -359,17 +350,16 @@ def _heat_bath_kernel(G: Graph, blocks, A: frozenset | None, mu: np.ndarray):
 
     From x, the chain moves to y = (x off D) | s, s any assignment on D,
     with probability mu(y) / Z(x off D), where Z sums mu over the 2^|D|
-    such y. Glauber is the case of singleton blocks. Z adds mu(y) +
-    mu(y xor D) over y, halved, so a flip-invariant mu gives an exactly
-    flip-invariant P. When G, A and the block family are rotation-invariant,
-    only the rows at the representatives of rotation x flip are built and
-    _scatter writes the rest, so P is exactly invariant under both (mu is a
-    function of the agreement count alone); otherwise every row is built,
-    which costs less than the scatter that would halve them.
+    such y. Glauber is the case of singleton blocks. mu is a function of
+    the agreement count alone, so the kernel commutes with the flip, and
+    with the rotation when it maps G, A and the block family to themselves:
+    as for _cluster_kernel, only the rows x at the orbit representatives of
+    _kernel_orbits(G, A, blocks) are built and _scatter writes the rest, so
+    P is exactly invariant.
     """
     if G.n > N_DIRECT_LIMIT:
         raise ValueError("graph too large for exact heat-bath kernel")
-    orb = _kernel_orbits(G, A, blocks, flip=False)
+    orb = _kernel_orbits(G, A, blocks)
     codes = np.arange(1 << G.n)
     x = orb.reps
     amask = _vertex_mask(A, G.n)
@@ -378,8 +368,8 @@ def _heat_bath_kernel(G: Graph, blocks, A: frozenset | None, mu: np.ndarray):
     for B in blocks:
         D = _vertex_mask(B, G.n) & amask
         rest = codes & ~D
-        Z = np.bincount(rest, weights=mu + mu[codes ^ D], minlength=codes.size) / 2
-        y = (x[:, None] & ~D) | codes[(codes & ~D) == 0]  # y[a, s] = (x_a off D) | s
+        Z = np.bincount(rest, weights=mu, minlength=codes.size)
+        y = (x[:, None] & ~D) | codes[rest == 0]  # y[a, s] = (x_a off D) | s
         P[a, y] += mu[y] / Z[y[:, :1]]
     return _scatter(P / len(blocks), orb)
 
@@ -437,14 +427,13 @@ class SpectralReport:
         return math.isfinite(self.relaxation)
 
 
-def spectral_report(P: np.ndarray, mu: np.ndarray,
-                    tol: float = REV_TOL) -> SpectralReport:
+def spectral_report(P: np.ndarray, mu: np.ndarray) -> SpectralReport:
     """Eigenvalues via the similarity transform with sqrt-stationary weights,
     one character block at a time.
 
-    Requires mu > 0, checked on the full mu, and reversibility, checked by
-    _residual on the rows at the representatives of _symmetry(P, mu) (the
-    number check_reversibility returns). The spectrum of P is the union of
+    Requires mu > 0, checked on the full mu, and reversibility up to
+    REV_TOL, checked by _residual on the rows at the representatives of
+    _symmetry(P, mu) (the number check_reversibility returns). The spectrum of P is the union of
     those of its character blocks M_c = B_c diag(1 / |Stab|) (see _blocks), each
     restricted to the representatives where c is trivial on the stabiliser
     (Diaconis 1988): at n = 10 under rotation x flip, 12 solves of at most
@@ -457,7 +446,7 @@ def spectral_report(P: np.ndarray, mu: np.ndarray,
         raise ValueError("mu has states of zero mass, so sqrt(mu) cannot weigh them")
     orb = _symmetry(P, mu)
     resid = _residual(P, mu, orb)
-    if resid > tol:
+    if resid > REV_TOL:
         raise ValueError(f"kernel not reversible: residual {resid:.3e}")
     d = np.sqrt(mu[orb.reps])
     H = ((d / np.sqrt(orb.stab))[:, None] * _blocks(P, orb)) / (d * np.sqrt(orb.stab))
@@ -495,7 +484,9 @@ class _Distance:
     def far_product(self, A: np.ndarray, B: np.ndarray, eps: float, out=None):
         """The blocks of the product AB of the kernels with blocks A and B,
         written to `out` (a new array by default), when some row of AB lies
-        farther than eps from mu; else None, with `out` untouched.
+        farther than eps from mu; else None, with `out` untouched. The
+        blocks M_c = B_c diag(1 / |Stab|) multiply one character at a time,
+        M_c(AB) = M_c(A) M_c(B): one batched matmul.
 
         AB is checked ROW_BLOCK representatives at a time, so a near product
         is never held whole. At the first far block the rest is multiplied
@@ -503,12 +494,12 @@ class _Distance:
         block of AB reads only the same rows of A, so `out` may be A.
         """
         for lo in range(0, A.shape[1], ROW_BLOCK):
-            top = _product(A[:, lo:lo + ROW_BLOCK], B)
+            top = A[:, lo:lo + ROW_BLOCK] @ B
             if self.far(top, eps):
                 out = np.empty(A.shape, top.dtype) if out is None else out
                 for at in range(0, A.shape[1], ROW_BLOCK):
                     rows = slice(at, at + ROW_BLOCK)
-                    out[:, rows] = top if at == lo else _product(A[:, rows], B)
+                    out[:, rows] = top if at == lo else A[:, rows] @ B
                 return out
         return None
 

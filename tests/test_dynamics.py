@@ -29,7 +29,7 @@ from isingdyn.dynamics import (
     sw_step,
 )
 from isingdyn.exact import transition_matrix
-from isingdyn.graph import Graph, cycle, path, random_regular
+from isingdyn.graph import Graph, complete_tree, cycle, path, random_regular
 from isingdyn.ising import ENUM_LIMIT, conditional_marginal, encode_spins
 from isingdyn import randomness
 from isingdyn.randomness import (
@@ -722,6 +722,27 @@ class TestChainStates:
     def test_invalid_input_raises_before_the_first_state(self, args, match):
         with pytest.raises(ValueError, match=match):
             chain_states(cycle(4), 0.4, *args)
+
+
+class TestTreeEnergyOracle:
+    """SW on a tree moves each edge's agreement eta_e = s_u s_v as its own
+    two-state chain: kept w.p. p when it agrees, else a fresh fair coin.
+    Under mu the eta_e are independent with mean tanh(beta), so the energy
+    sum_e eta_e has mean m tanh(beta), variance m (1 - tanh^2 beta) and
+    lag-1 autocorrelation p / 2 (tau_int = (1 + p/2) / (1 - p/2)). The
+    bounds are 4-6 standard errors at 20 000 steps."""
+
+    def test_energy_law_on_a_large_tree(self):
+        G, beta = complete_tree(3, 8), 0.3
+        assert (G.n, G.m) == (766, 765)
+        u, v = G.endpoint_arrays()
+        energy = np.array([np.sum(s[u] * s[v], dtype=np.int64) for s in
+                           chain_states(G, beta, DynamicsSpec("sw"), 20_000, seed=2)])[50:]
+        p, t = 1.0 - math.exp(-2.0 * beta), math.tanh(beta)
+        assert abs(energy.mean() - G.m * t) <= 1.5
+        assert abs(energy.var(ddof=1) / (G.m * (1 - t * t)) - 1) <= 0.05
+        e = energy - energy.mean()
+        assert abs(np.dot(e[:-1], e[1:]) / np.dot(e, e) - p / 2) <= 0.04
 
 
 class TestDrawBlock:

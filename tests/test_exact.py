@@ -34,7 +34,7 @@ from isingdyn.exact import (
     _symmetry,
     _vertex_mask,
 )
-from isingdyn.graph import Graph, complete_tree, cycle, path, random_regular
+from isingdyn.graph import Graph, complete_tree, cycle, grid, path, random_regular
 from isingdyn.ising import gibbs_exact
 from test_acceptance import small_graph_zoo
 from test_dynamics import small_graphs
@@ -355,7 +355,9 @@ class TestHeatBathOracle:
     @pytest.mark.parametrize("shape", ["singletons", "pairs", "whole"])
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     def test_vectorised_matches_loops(self, shape, beta):
-        graphs = small_graph_zoo() + [path(4), cycle(5), random_regular(6, 3, 3)]
+        # random_regular(8, 3, 1) and grid(2, 4) have no rotation: the flip folds them
+        graphs = small_graph_zoo() + [path(4), cycle(5), random_regular(6, 3, 3),
+                                      random_regular(8, 3, 1), grid(2, 4)]
         for G in graphs:
             blocks = block_shapes(G.n)[shape]
             mu = gibbs_exact(G, beta).probs
@@ -364,9 +366,24 @@ class TestHeatBathOracle:
                 got = transition_matrix(G, beta, spec).P
                 want = loop_block_kernel(G, beta, blocks, A, mu)
                 assert np.max(np.abs(got - want)) <= 1e-12, (G, A)
+                assert np.array_equal(got, got[::-1, ::-1]), (G, A)
             if shape == "singletons":
                 got = transition_matrix(G, beta, DynamicsSpec("glauber")).P
                 assert np.max(np.abs(got - loop_glauber_kernel(G, beta))) <= 1e-12, G
+                assert np.array_equal(got, got[::-1, ::-1]), G
+
+    def test_builds_the_flip_half(self, monkeypatch):
+        # a kernel the rotation does not fold is built on the 128 rows x < 128
+        built = []
+        scatter = exact._scatter
+        monkeypatch.setattr(exact, "_scatter",
+                            lambda rows, orb: built.append(rows.shape) or scatter(rows, orb))
+        G = random_regular(8, 3, 1)
+        halves = (frozenset(range(4)), frozenset(range(4, 8)))
+        for spec in (DynamicsSpec("glauber"), DynamicsSpec("block", blocks=halves),
+                     DynamicsSpec("block", blocks=halves, censor=frozenset({0, 5}))):
+            transition_matrix(G, 0.4, spec)
+        assert built == [(128, 256)] * 3
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_guard(self):
