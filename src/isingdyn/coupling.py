@@ -8,11 +8,11 @@ and all-minus sandwich every other start.
 coupling_time reads step t's fields from SharedRandomness by counter. The
 cluster kinds (iv, msw) read the whole step, StepDraws from at(t): m edge
 uniforms, the spins and n vertex uniforms. The heat-bath kinds (glauber,
-block) read (k, thresholds) from site_draws: the selector index and u_t(v)
-for each site v the selected vertex or block updates (heat_bath_sites), in
-update order, 2 and 1 + |B_k int A| of the step's m + ceil(n/2) + n + 1
-words. Both carry the bits at(t) decodes, so the coalescence times are the
-same either way.
+block) read (k, thresholds) from site_draws over the bath's own table,
+HeatBath.sites: the selector index and u_t(v) for each site v the selected
+vertex or block updates, in update order, 2 and 1 + |B_k int A| of the
+step's m + ceil(n/2) + n + 1 words. Both carry the bits at(t) decodes, so
+the coalescence times are the same either way.
 
 The iv and msw pair is two arrays advanced by `step`. The glauber and
 block pair is two lists advanced by one dynamics.HeatBath, which keeps
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsSpec, HeatBath, heat_bath_sites, step
+from .dynamics import DynamicsSpec, HeatBath, step
 from .graph import Graph
 # sequential_draws stays bound here: it is the per-step form of the blocks
 # the audit reads, and perfbench's tracer wraps it at every binding
@@ -65,16 +65,14 @@ def coupling_time(G: Graph, beta: float, spec: DynamicsSpec, seed: int,
     spec.validate_for(G)
     shared = SharedRandomness(seed, G.n, G.m)
     if spec.kind in ("glauber", "block"):
-        sites = [heat_bath_sites(spec.blocks, k, spec.censor)
-                 for k in range(G.n if spec.blocks is None else len(spec.blocks))]
         bath = HeatBath(G, beta, spec.blocks, spec.censor)
         upper, lower = [1] * G.n, [-1] * G.n
         apart = G.n  # sites where the copies differ
-        for t, (k, thresholds) in enumerate(shared.site_draws(sites, t_max), 1):
-            for v in sites[k]:
+        for t, (k, thresholds) in enumerate(shared.site_draws(bath.sites, t_max), 1):
+            for v in bath.sites[k]:
                 apart -= upper[v] != lower[v]
             bath.update(k, thresholds, (upper, lower))
-            for v in sites[k]:
+            for v in bath.sites[k]:
                 apart += upper[v] != lower[v]
             if not apart:
                 return CouplingResult(seed=seed, steps=t, timed_out=False)
@@ -113,7 +111,8 @@ def monotonicity_audit(G: Graph, beta: float, spec: DynamicsSpec, trials: int,
         raise ValueError(f"an audit needs trials >= 1 and steps >= 1, "
                          f"not trials={trials}, steps={steps}")
     spec.validate_for(G)
-    bath = HeatBath(G, beta, spec.blocks, spec.censor)
+    bath = (HeatBath(G, beta, spec.blocks, spec.censor)
+            if spec.kind in ("glauber", "block") else None)
     violations = 0
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((0xA0D1, seed, trial)))

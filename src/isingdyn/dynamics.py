@@ -4,8 +4,8 @@ monotone-SW, and their censored variants.
 All step functions are pure given (configuration, StepDraws). Randomness
 consumption is fixed (see randomness module): this makes trajectories
 bit-reproducible and lets the same code drive grand couplings. Glauber and
-block steps are the one-row form of HeatBath.update(k, thresholds, rows),
-which coupled pairs drive from site_draws (the format is in randomness).
+block steps are HeatBath.step: it reads (k, thresholds) over HeatBath.sites,
+the format coupled pairs read from site_draws (see randomness).
 
 Component spin draws use the component's smallest vertex's stream (its
 root, as `components` returns it) so that cluster steps are independent of
@@ -34,7 +34,6 @@ __all__ = [
     "msw_step_alt",
     "glauber_step",
     "block_step",
-    "heat_bath_sites",
     "HeatBath",
     "step",
     "chain_states",
@@ -228,14 +227,11 @@ def glauber_step(G: Graph, beta: float, spins, draws: StepDraws,
     """Heat-bath single-site update at a uniformly chosen vertex.
 
     The threshold form (set + iff u_t(v) <= conditional plus-probability)
-    is the standard monotone grand coupling for Glauber. This is the
-    one-row form of HeatBath without blocks; bath, when given, is
-    HeatBath(G, beta), kept across the steps of a run.
+    is the standard monotone grand coupling for Glauber. This is
+    HeatBath(G, beta).step; bath, when given, is that HeatBath, kept across
+    the steps of a run.
     """
-    out = np.array(spins, dtype=np.int8)
-    k = draws.block_index(G.n)
-    (bath or HeatBath(G, beta)).update(k, (draws.vertex_uniforms[k],), [out])
-    return out
+    return (bath or HeatBath(G, beta)).step(spins, draws)
 
 
 def block_step(G: Graph, beta: float, spins, blocks, draws: StepDraws,
@@ -246,36 +242,24 @@ def block_step(G: Graph, beta: float, spins, blocks, draws: StepDraws,
     each from its exact conditional given the already-updated prefix and
     the free set's outer boundary (remaining free vertices are
     marginalized). The threshold form makes this the monotone grand
-    coupling from the proofs. This is the one-row form of HeatBath; bath,
-    when given, is HeatBath(G, beta, blocks, A), kept across the steps of a run.
+    coupling from the proofs. This is HeatBath(G, beta, blocks, A).step;
+    bath, when given, is that HeatBath, kept across the steps of a run.
     """
-    out = np.array(spins, dtype=np.int8)
-    bath = bath or HeatBath(G, beta, blocks, A)
-    k = draws.block_index(len(blocks))
-    u = draws.vertex_uniforms
-    bath.update(k, [u[v] for v, _ in bath.plan(k)], [out])
-    return out
-
-
-def heat_bath_sites(blocks, k: int, A: frozenset | None = None) -> tuple:
-    """The vertices a heat-bath step with selector index k updates, in
-    update order, and so the only vertex uniforms it reads: Glauber's
-    vertex k when blocks is None, else B_k int A ascending."""
-    if blocks is None:
-        return (k,)
-    return tuple(sorted(blocks[k] if A is None else blocks[k] & A))
+    return (bath or HeatBath(G, beta, blocks, A)).step(spins, draws)
 
 
 class HeatBath:
-    """Glauber (blocks None) or block heat-bath updates of one or more rows,
+    """Glauber (blocks None) or block heat-bath steps of one or more rows,
     keeping each site's clamped set and conditionals while it lives.
 
-    The plan of selector index k is (v, C) for each site v of
-    heat_bath_sites(blocks, k, A), in update order. With the free set's
-    outer boundary and the earlier sites clamped, C is the set of clamped
-    vertices adjacent to v's free component, found on the first use of k
-    by one graph.distances walk. C depends on k and the site, never on the
-    spins.
+    sites[k] holds the sites selector index k updates, in update order, and
+    so the only vertex uniforms its step reads: Glauber's (k,), else B_k int
+    A ascending. A HeatBath with no index to select (Glauber on a graph with
+    no vertex) is refused. The plan of k is (v, C) for each site v of
+    sites[k]. With the free set's outer boundary and the earlier sites
+    clamped, C is the set of clamped vertices adjacent to v's free
+    component, found on the first use of k by one graph.distances walk. C
+    depends on k and the site, never on the spins.
 
     By the Markov property, v's plus-probability given every clamped
     vertex depends only on the spins at C, so site i's key
@@ -285,12 +269,16 @@ class HeatBath:
     conditional_marginal with only C clamped: its walk from v stops at C
     where the full clamping stops it, so the free component, its visit
     order and every field are the same, and so are the bits. A Glauber
-    site, whose C is its neighbourhood, takes _logistic(-2 beta S) for the
+    site, whose C is its neighbourhood, takes _logistic(beta * -2S) for the
     neighbour spin sum S.
     """
 
     def __init__(self, G: Graph, beta: float, blocks=None, A: frozenset | None = None):
-        self.G, self.beta, self.blocks, self.A = G, beta, blocks, A
+        self.G, self.beta, self.glauber = G, beta, blocks is None
+        self.sites = (tuple((v,) for v in range(G.n)) if self.glauber else
+                      tuple(tuple(sorted(b if A is None else b & A)) for b in blocks))
+        if not self.sites:
+            raise ValueError("a heat-bath step needs a vertex or block to select")
         self.plans = {}
         self.memo = {}
 
@@ -298,7 +286,7 @@ class HeatBath:
         plan = self.plans.get(k)
         if plan is None:
             adj = self.G.adjacency
-            free = heat_bath_sites(self.blocks, k, self.A)
+            free = self.sites[k]
             clamped = {w for v in free for w in adj[v]}
             clamped.difference_update(free)
             plan = []
@@ -308,6 +296,15 @@ class HeatBath:
                 clamped.add(v)
             plan = self.plans[k] = tuple(plan)
         return plan
+
+    def step(self, spins, draws: StepDraws) -> np.ndarray:
+        """A stepped copy of spins: k = draws.block_index(len(sites)), and
+        the thresholds are the uniforms u_t(v) of sites[k], in order."""
+        out = np.array(spins, dtype=np.int8)
+        k = draws.block_index(len(self.sites))
+        u = draws.vertex_uniforms
+        self.update(k, [u[v] for v in self.sites[k]], [out])
+        return out
 
     def update(self, k: int, thresholds, rows):
         """Set each row's sites of plan(k) in order, in place: the i-th site
@@ -330,8 +327,9 @@ class HeatBath:
 
     def _marginal(self, v: int, C: tuple, spins: tuple) -> float:
         spins = map(int, spins)  # numpy's int8 would wrap past degree 127
-        if self.blocks is None:
-            return _logistic(-2.0 * self.beta * sum(spins))
+        if self.glauber:
+            # -2S is exact: one rounding, and no inf * 0 = nan where 2 beta overflows
+            return _logistic(self.beta * (-2 * sum(spins)))
         return conditional_marginal(self.G, self.beta, v, dict(zip(C, spins)))
 
 
@@ -375,12 +373,13 @@ def chain_states(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: in
         if spins.shape != (G.n,) or not np.isin(spins, (-1, 1)).all():
             raise ValueError(f"start must be {G.n} spins, each +1 or -1")
         spins = spins.astype(np.int8)
-    return _states(G, beta, spec, steps, seed, spins)
+    bath = (HeatBath(G, beta, spec.blocks, spec.censor)
+            if spec.kind in ("glauber", "block") else None)
+    return _states(G, beta, spec, steps, seed, spins, bath)
 
 
-def _states(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int, spins):
+def _states(G: Graph, beta: float, spec: DynamicsSpec, steps: int, seed: int, spins, bath):
     rng = np.random.default_rng(np.random.SeedSequence((0xD1CE, seed)))
-    bath = HeatBath(G, beta, spec.blocks, spec.censor)
     yield spins
     for draws in draw_block(rng, G.n, G.m, steps):
         spins = step(G, beta, spec, spins, draws, bath)

@@ -770,8 +770,8 @@ class TestOverflowingBeta:
                               "0,8,1000.0,glauber,200,1\n")
 
     def test_glauber_couple_runs_at_any_beta(self):
-        # Glauber computes -2 beta S itself: no spread check, so it never
-        # exits 2 (at S = 0, -inf * 0 is nan and the site is set to -1)
+        # Glauber computes beta * -2S itself: no spread check, so it never
+        # exits 2; the copies stay uniform, so no site is balanced (S = 0)
         res = run_cli("couple", "--graph", "cycle(8)", "--beta", "1e308", "--dynamics",
                       '{"kind":"glauber"}', "--t-max", "200", "--seeds", "3")
         assert res.returncode == 0 and res.stderr == ""

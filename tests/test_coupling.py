@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isingdyn import dynamics
+from isingdyn import coupling, dynamics
 from isingdyn.coupling import (
     CouplingResult,
     coupling_time,
@@ -72,6 +72,13 @@ class TestCouplingTime:
     def test_sw_rejected(self):
         with pytest.raises(ValueError):
             coupling_time(EDGE, 0.5, DynamicsSpec("sw"), seed=0)
+
+    def test_no_vertex_glauber_refused(self):
+        G, spec = Graph(n=0, edges=()), DynamicsSpec("glauber")
+        with pytest.raises(ValueError, match="^a heat-bath step needs a vertex or block"):
+            coupling_time(G, 0.5, spec, seed=0)
+        with pytest.raises(ValueError, match="^a heat-bath step needs a vertex or block"):
+            monotonicity_audit(G, 0.5, spec, trials=2, steps=2, seed=0)
 
     @pytest.mark.parametrize("kind", ["iv", "glauber"])
     def test_negative_t_max_refused(self, kind):
@@ -238,6 +245,25 @@ class TestSiteDrawCouplings:
                             lambda self, t: calls.append(t) or at(self, t))
         res = coupling_time(cycle(9), 0.3, spec, seed=4, t_max=50)
         assert calls == (list(range(1, res.steps + 1)) if reads_at else [])
+
+
+class TestHeatBathPair:
+    @pytest.mark.parametrize("spec", [DynamicsSpec("glauber"), HEAT_BATH_SPECS["censored"]])
+    def test_site_draws_read_the_bath_table(self, spec, monkeypatch):
+        baths, tables = [], []
+
+        class Recorded(dynamics.HeatBath):
+            def __init__(self, *args):
+                super().__init__(*args)
+                baths.append(self)
+
+        site_draws = SharedRandomness.site_draws
+        monkeypatch.setattr(coupling, "HeatBath", Recorded)
+        monkeypatch.setattr(SharedRandomness, "site_draws",
+                            lambda self, plans, t_max: tables.append(plans)
+                            or site_draws(self, plans, t_max))
+        coupling_time(cycle(9), 0.3, spec, seed=4, t_max=50)
+        assert len(baths) == 1 and len(tables) == 1 and tables[0] is baths[0].sites
 
 
 class TestSandwich:

@@ -20,7 +20,6 @@ from isingdyn.dynamics import (
     chain_states,
     components,
     glauber_step,
-    heat_bath_sites,
     iv_step,
     msw_step_alt,
     percolate,
@@ -346,6 +345,50 @@ class TestHeatBathSteps:
         bath = HeatBath(cycle(6), 0.4, blocks)
         with pytest.raises(IndexError):
             bath.update(1, [0.5] * (len(bath.plan(1)) - 1), [np.ones(6, dtype=np.int8)])
+
+
+def old_heat_bath_sites(blocks, k, A=None):
+    """Selector index k's sites by their definition, one index at a time:
+    the oracle for HeatBath.sites."""
+    if blocks is None:
+        return (k,)
+    return tuple(sorted(blocks[k] if A is None else blocks[k] & A))
+
+
+class TestHeatBathSites:
+    @settings(max_examples=200)
+    @given(cluster_cases(), st.data())
+    def test_sites_match_the_old_definition(self, case, data):
+        G, beta, _, _, A = case
+        blocks = tuple(data.draw(st.lists(st.frozensets(st.integers(0, G.n - 1)),
+                                          min_size=1, max_size=5)))
+        assert HeatBath(G, beta).sites == tuple(
+            old_heat_bath_sites(None, k) for k in range(G.n))
+        assert HeatBath(G, beta, blocks, A).sites == tuple(
+            old_heat_bath_sites(blocks, k, A) for k in range(len(blocks)))
+
+    def test_no_vertex_refused_before_the_first_state(self):
+        G, spec = Graph(n=0, edges=()), DynamicsSpec("glauber")
+        with pytest.raises(ValueError, match="^a heat-bath step needs a vertex or block"):
+            chain_states(G, 0.4, spec, 3, seed=0)
+        with pytest.raises(ValueError, match="^a heat-bath step needs a vertex or block"):
+            run_chain(G, 0.4, spec, 3, seed=0)
+        # the cluster kinds step the one state there is
+        out, collected = run_chain(G, 0.4, DynamicsSpec("iv"), 3, seed=0, collect_every=1)
+        assert out.shape == (0,) and len(collected) == 3
+
+    def test_glauber_balanced_site_where_two_beta_overflows(self):
+        # beta = 1e308: 2 beta is inf, and a site whose neighbour sum is 0
+        # is still set + with probability 1/2
+        G = path(3)
+        bath = HeatBath(G, 1e308)
+        assert bath._marginal(1, (0, 2), (1, -1)) == 0.5
+        assert bath._marginal(1, (0, 2), (1, 1)) == 1.0
+        assert bath._marginal(1, (0, 2), (-1, -1)) == 0.0
+        start = np.array([1, -1, -1], dtype=np.int8)
+        for u, want in ((0.25, 1), (0.5, 1), (0.75, -1)):
+            d = fixed_draws(G, vert_u=u, selector=0.4)  # picks vertex 1
+            assert glauber_step(G, 1e308, start, d).tolist() == [1, want, -1]
 
 
 class TestDynamicsSpec:
@@ -913,11 +956,10 @@ class TestSharedRandomness:
     @pytest.mark.parametrize("t_max", [0, 1, 63, 64, 65, 64 + 128 + 256 + 7])
     def test_site_draws_match_at(self, t_max):
         G = cycle(9)
-        glauber = [heat_bath_sites(None, k) for k in range(G.n)]
+        glauber = HeatBath(G, 0.3).sites
         blocks = (frozenset({0, 1, 2, 3}), frozenset({3, 4}), frozenset({5, 6, 7, 8}),
                   frozenset({8, 0}))
-        censored = [heat_bath_sites(blocks, k, frozenset({0, 2, 3, 4}))
-                    for k in range(len(blocks))]
+        censored = HeatBath(G, 0.3, blocks, frozenset({0, 2, 3, 4})).sites
         assert censored[2] == ()  # a block that misses A reads no site
         for plans in (glauber, censored, [tuple(range(G.n))]):
             for seed in (1, 2**64 - 1):
